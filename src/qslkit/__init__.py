@@ -10,6 +10,7 @@ not.
 """
 
 from .constraints import (
+    Constraint,
     EnergyStats,
     EnergyUncertainty,
     GeometricMean,

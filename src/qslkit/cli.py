@@ -12,6 +12,7 @@ error, 3 numerical non-convergence, 4 invariant violation in the inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -146,8 +147,8 @@ def _build_config(args) -> RunConfig:
         cfg.trajectory = _load_trajectory(args.trajectory)
 
     if hasattr(args, "kappa"):
-        if not args.kappa > 0:
-            raise ConfigError(f"field 'kappa': must be > 0, got {args.kappa}")
+        if not 0 < args.kappa < math.inf:
+            raise ConfigError(f"field 'kappa': must be finite and > 0, got {args.kappa}")
         cfg.kappa = args.kappa
     if hasattr(args, "n_max"):
         if args.n_max < 0:

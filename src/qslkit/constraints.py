@@ -26,12 +26,17 @@ PowerMean(p)             (F1**p + F2**p)**(1/p).
 GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
                          degree-1 functionals would be degree 2, so the
                          exponent halves it back.
+
+Each class carries its own facts; the ``Constraint`` base holds the defaults
+(no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False, and
+``kink_margin`` inf).  A custom constraint needs only ``value(a)``; subclass
+``Constraint`` to also serve ``geometry.kink_margin`` and its probe sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf
+from math import inf, isinf
 from typing import Optional
 
 import numpy as np
@@ -48,7 +53,7 @@ def require_state(psi, atol: float = STATE_ATOL) -> np.ndarray:
     if psi.ndim != 1:
         raise DimensionMismatchError(f"state must be a 1-d array, got shape {psi.shape}")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > atol:
+    if not abs(norm - 1.0) <= atol:
         raise InvariantViolationError(f"state is not normalized: <psi|psi> = {norm:.17g}")
     return psi
 
@@ -65,25 +70,56 @@ def _hermitian_eigs(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(1j * a)
 
 
+def _require_exponent(p: float, what: str) -> None:
+    if not (p > 0.0) or isinf(p):
+        raise InvalidParameterError(f"{what} exponent must be finite and > 0, got {p}")
+
+
+def require_dim(func, n: int) -> None:
+    """Raise DimensionMismatchError unless ``func`` accepts n x n arguments."""
+    want = getattr(func, "dim", None)
+    if want is not None and want != n:
+        raise DimensionMismatchError(f"constraint expects dimension {want}, got dimension {n}")
+
+
+class Constraint:
+    """Base of the catalog: the defaults each class overrides where it differs.
+
+    ``children`` are the constraints a combinator is built from; ``dim`` is
+    the dimension N the constraint is tied to, or None for any N;
+    ``unitarily_invariant`` marks atoms of the spectrum alone, for which
+    gate_time asserts that the principal logarithm branch is minimal.
+    """
+
+    kind: str
+    children = ()
+    dim = None
+    unitarily_invariant = False
+
+    def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
+        """Distance from A to the nearest point where F is not smooth.
+
+        ``w`` is the ascending spectrum of H = 1j*A, computed once by the
+        caller and shared across a combinator tree.
+        """
+        return inf
+
+
 # ---------------------------------------------------------------------------
 # Atoms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Schatten:
+class Schatten(Constraint):
     """Schatten p-norm of the Hamiltonian; p = inf is the operator norm."""
 
     p: float
     kind = "schatten"
-    children = ()
+    unitarily_invariant = True
 
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise InvalidParameterError(f"Schatten exponent must be >= 1, got {self.p}")
-
-    @property
-    def dim(self) -> Optional[int]:
-        return None
 
     def value(self, a: np.ndarray) -> float:
         sv = np.abs(_hermitian_eigs(a))
@@ -91,25 +127,39 @@ class Schatten:
             return float(np.max(sv))
         return float(np.sum(sv ** self.p) ** (1.0 / self.p))
 
+    def kink_margin(self, a, w) -> float:
+        if isinf(self.p):
+            # kinks where an extreme eigenvalue degenerates or where the top
+            # and bottom arms cross; on su(2) the arms coincide identically
+            # (w_min = -w_max), so the crossing is not a kink there
+            gaps = [float(w[-1] - w[-2]), float(w[1] - w[0])]
+            if len(w) > 2:
+                gaps.append(abs(float(w[-1] + w[0])))
+            return min(gaps)
+        if abs(self.p - round(self.p)) < 1e-12 and int(round(self.p)) % 2 == 0:
+            return inf
+        # odd or fractional powers kink where an eigenvalue crosses zero
+        return float(np.min(np.abs(w)))
+
 
 @dataclass(frozen=True)
-class SpectralRange:
+class SpectralRange(Constraint):
     """Spread E_max - E_min of the Hamiltonian spectrum."""
 
     kind = "op_shifted"
-    children = ()
-
-    @property
-    def dim(self) -> Optional[int]:
-        return None
+    unitarily_invariant = True
 
     def value(self, a: np.ndarray) -> float:
         w = _hermitian_eigs(a)
         return float(w[-1] - w[0])
 
+    def kink_margin(self, a, w) -> float:
+        # kinks where two eigenvalues collide
+        return float(np.min(np.diff(w)))
+
 
 @dataclass(frozen=True, eq=False)
-class GroundShiftedMoment:
+class GroundShiftedMoment(Constraint):
     """p-th root of the p-th moment of H - E_min in a reference state.
 
     The shifted operator is positive semidefinite, so non-integer exponents
@@ -119,11 +169,9 @@ class GroundShiftedMoment:
     p: float
     psi: np.ndarray
     kind = "ml"
-    children = ()
 
     def __post_init__(self):
-        if not (self.p > 0.0) or isinf(self.p):
-            raise InvalidParameterError(f"moment exponent must be finite and > 0, got {self.p}")
+        _require_exponent(self.p, "moment")
         object.__setattr__(self, "psi", require_state(self.psi))
 
     @property
@@ -137,14 +185,24 @@ class GroundShiftedMoment:
         assert moment > -1e-9, "ground-shifted moment must be non-negative"
         return max(moment, 0.0) ** (1.0 / self.p)
 
+    kink_margin = SpectralRange.kink_margin  # the ground eigenvector jumps at collisions
+
+
+def _mean_and_uncertainty(a: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of H = 1j*A in the state psi."""
+    hpsi = (1j * a) @ psi
+    mean = float(np.vdot(psi, hpsi).real)
+    var = float(np.vdot(hpsi, hpsi).real) - mean * mean
+    assert var > -1e-9, "variance must be non-negative"
+    return mean, float(np.sqrt(max(var, 0.0)))
+
 
 @dataclass(frozen=True, eq=False)
-class EnergyUncertainty:
+class EnergyUncertainty(Constraint):
     """Standard deviation of the Hamiltonian in a reference state."""
 
     psi: np.ndarray
     kind = "mt"
-    children = ()
 
     def __post_init__(self):
         object.__setattr__(self, "psi", require_state(self.psi))
@@ -154,16 +212,15 @@ class EnergyUncertainty:
         return len(self.psi)
 
     def value(self, a: np.ndarray) -> float:
-        h = 1j * a
-        hpsi = h @ self.psi
-        mean = float(np.vdot(self.psi, hpsi).real)
-        var = float(np.vdot(hpsi, hpsi).real) - mean * mean
-        assert var > -1e-9, "variance must be non-negative"
-        return float(np.sqrt(max(var, 0.0)))
+        return _mean_and_uncertainty(a, self.psi)[1]
+
+    def kink_margin(self, a, w) -> float:
+        # the square root kinks where the variance vanishes
+        return self.value(a)
 
 
 @dataclass(frozen=True, eq=False)
-class Randers:
+class Randers(Constraint):
     """Riemannian norm plus a linear drift term, in su_basis coordinates.
 
     ``metric`` is a symmetric positive-definite (n**2-1) x (n**2-1) matrix and
@@ -174,7 +231,6 @@ class Randers:
     metric: np.ndarray
     oneform: np.ndarray
     kind = "randers"
-    children = ()
 
     def __post_init__(self):
         metric = np.asarray(self.metric, dtype=float)
@@ -208,119 +264,104 @@ class Randers:
         coords = basis_coords(a)
         return float(np.sqrt(coords @ self.metric @ coords) + self.oneform @ coords)
 
+    def kink_margin(self, a, w) -> float:
+        # smooth everywhere except at the origin
+        return float(np.linalg.norm(a))
+
 
 # ---------------------------------------------------------------------------
 # Combinators
 # ---------------------------------------------------------------------------
 
-def _check_pair(children):
-    if len(children) != 2:
-        raise InvalidParameterError(f"combinators take exactly 2 children, got {len(children)}")
-    dims = {c.dim for c in children if c.dim is not None}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"children disagree on dimension: {sorted(dims)}")
-    return tuple(children)
+class _Combinator(Constraint):
+    """Two children joined pointwise by the subclass's ``combine(F1, F2)``."""
+
+    def __post_init__(self):
+        children = tuple(self.children)
+        if len(children) != 2:
+            raise InvalidParameterError(f"combinators take exactly 2 children, got {len(children)}")
+        dims = {c.dim for c in children if c.dim is not None}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"children disagree on dimension: {sorted(dims)}")
+        object.__setattr__(self, "children", children)
+
+    @property
+    def dim(self) -> Optional[int]:
+        return next((c.dim for c in self.children if c.dim is not None), None)
+
+    def value(self, a) -> float:
+        return self.combine(self.children[0].value(a), self.children[1].value(a))
+
+    def kink_margin(self, a, w) -> float:
+        return min(c.kink_margin(a, w) for c in self.children)
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Combinator):
     children: tuple
     kind = "sum"
 
+    def combine(self, v1, v2):
+        return v1 + v2
+
+
+class _Extremum(_Combinator):
+    def kink_margin(self, a, w) -> float:
+        # kinks where the arms tie
+        v1, v2 = (c.value(a) for c in self.children)
+        return min(abs(v1 - v2), super().kink_margin(a, w))
+
+
+class _Mean(_Combinator):
     def __post_init__(self):
-        object.__setattr__(self, "children", _check_pair(self.children))
+        _require_exponent(self.p, self.kind)
+        super().__post_init__()
 
-    @property
-    def dim(self) -> Optional[int]:
-        return _children_dim(self.children)
-
-    def value(self, a) -> float:
-        return self.children[0].value(a) + self.children[1].value(a)
+    def kink_margin(self, a, w) -> float:
+        # F**p kinks where F vanishes
+        return min(super().kink_margin(a, w), *(c.value(a) for c in self.children))
 
 
 @dataclass(frozen=True)
-class Max:
+class Max(_Extremum):
     children: tuple
     kind = "max"
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", _check_pair(self.children))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return _children_dim(self.children)
-
-    def value(self, a) -> float:
-        return max(self.children[0].value(a), self.children[1].value(a))
+    def combine(self, v1, v2):
+        return max(v1, v2)
 
 
 @dataclass(frozen=True)
-class Min:
+class Min(_Extremum):
     children: tuple
     kind = "min"
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", _check_pair(self.children))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return _children_dim(self.children)
-
-    def value(self, a) -> float:
-        return min(self.children[0].value(a), self.children[1].value(a))
+    def combine(self, v1, v2):
+        return min(v1, v2)
 
 
 @dataclass(frozen=True)
-class PowerMean:
+class PowerMean(_Mean):
     """(F1**p + F2**p)**(1/p) for p > 0."""
 
     p: float
     children: tuple
     kind = "powmean"
 
-    def __post_init__(self):
-        if not (self.p > 0.0) or isinf(self.p):
-            raise InvalidParameterError(f"powmean exponent must be finite and > 0, got {self.p}")
-        object.__setattr__(self, "children", _check_pair(self.children))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return _children_dim(self.children)
-
-    def value(self, a) -> float:
-        v1 = self.children[0].value(a)
-        v2 = self.children[1].value(a)
+    def combine(self, v1, v2):
         return float((v1 ** self.p + v2 ** self.p) ** (1.0 / self.p))
 
 
 @dataclass(frozen=True)
-class GeometricMean:
+class GeometricMean(_Mean):
     """(F1**p * F2**p)**(1/(2p)): the degree-1 geometric combination."""
 
     p: float
     children: tuple
     kind = "geomean"
 
-    def __post_init__(self):
-        if not (self.p > 0.0) or isinf(self.p):
-            raise InvalidParameterError(f"geomean exponent must be finite and > 0, got {self.p}")
-        object.__setattr__(self, "children", _check_pair(self.children))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return _children_dim(self.children)
-
-    def value(self, a) -> float:
-        v1 = self.children[0].value(a)
-        v2 = self.children[1].value(a)
+    def combine(self, v1, v2):
         return float((v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p)))
-
-
-def _children_dim(children) -> Optional[int]:
-    for c in children:
-        if c.dim is not None:
-            return c.dim
-    return None
 
 
 ATOM_KINDS = ("schatten", "op_shifted", "ml", "mt", "randers")
@@ -341,10 +382,7 @@ def evaluate(func, a, validate: bool = True) -> float:
     a = np.asarray(a, dtype=np.complex128)
     if validate:
         a = require_algebra_element(a)
-        want = getattr(func, "dim", None)
-        if want is not None and a.shape[0] != want:
-            raise DimensionMismatchError(
-                f"constraint expects dimension {want}, got {a.shape[0]}")
+        require_dim(func, a.shape[0])
     return float(func.value(a))
 
 
@@ -389,9 +427,6 @@ def energy_stats(a, psi) -> EnergyStats:
         raise DimensionMismatchError(
             f"state dimension {len(psi)} does not match matrix dimension {a.shape[0]}")
     w = _hermitian_eigs(a)
-    h = 1j * a
-    hpsi = h @ psi
-    mean = float(np.vdot(psi, hpsi).real)
-    var = max(float(np.vdot(hpsi, hpsi).real) - mean * mean, 0.0)
+    mean, uncertainty = _mean_and_uncertainty(a, psi)
     return EnergyStats(ground=float(w[0]), top=float(w[-1]),
-                       expectation=mean, uncertainty=float(np.sqrt(var)))
+                       expectation=mean, uncertainty=uncertainty)

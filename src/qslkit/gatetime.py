@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .constraints import Schatten, SpectralRange, evaluate
+from .constraints import evaluate, require_dim
 from .errors import (
-    DimensionMismatchError,
     InvalidParameterError,
     InvariantViolationError,
     OptimizerDidNotConvergeError,
@@ -44,9 +43,6 @@ from .linalg import (
 SIMPLEX_TOL = 1e-9
 SIMPLEX_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
-
-UNITARILY_INVARIANT_ATOMS = (Schatten, SpectralRange)
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -76,16 +72,9 @@ class SpeedLimitResult:
 
 def _require_kappa(kappa: float) -> float:
     kappa = float(kappa)
-    if not kappa > 0.0:
-        raise InvalidParameterError(f"kappa must be > 0, got {kappa}")
+    if not 0.0 < kappa < inf:
+        raise InvalidParameterError(f"kappa must be finite and > 0, got {kappa}")
     return kappa
-
-
-def _require_matching_dim(func, n: int) -> None:
-    want = getattr(func, "dim", None)
-    if want is not None and want != n:
-        raise DimensionMismatchError(
-            f"constraint expects dimension {want}, gate has dimension {n}")
 
 
 def gate_time(func, kappa: float, gate, n_max: int = 0,
@@ -94,13 +83,13 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     constraint level set F = kappa, minimized over logarithm branches with
     winding |n_k| <= n_max.
 
-    For Schatten and spectral-range constraints the principal branch is
-    provably optimal; that is asserted whenever the principal branch is in
-    the searched set.
+    For constraints marked ``unitarily_invariant`` (Schatten and spectral
+    range) the principal branch is provably optimal; that is asserted
+    whenever the principal branch is in the searched set.
     """
     kappa = _require_kappa(kappa)
     gate = require_special_unitary(gate, atol=atol)
-    _require_matching_dim(func, gate.shape[0])
+    require_dim(func, gate.shape[0])
     branches = log_branches(gate, n_max, atol=atol)
     if not branches:
         # forces the informative degenerate-cluster error when applicable
@@ -109,7 +98,7 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
             f"no traceless logarithm branch with winding <= {n_max}; raise n_max")
     values = [evaluate(func, b.value, validate=False) for b in branches]
     best = int(np.argmin(values))
-    if isinstance(func, UNITARILY_INVARIANT_ATOMS):
+    if getattr(func, "unitarily_invariant", False):
         principal = principal_log(gate, atol=atol)
         key = tuple(principal.shifts.tolist())
         for b, v in zip(branches, values):
@@ -145,7 +134,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     gate = require_special_unitary(gate, atol=atol)
-    _require_matching_dim(func, gate.shape[0])
+    require_dim(func, gate.shape[0])
     branch = principal_log(gate, atol=atol)
     x = branch.value
     n = gate.shape[0]
@@ -218,15 +207,15 @@ class Trajectory:
             raise InvalidParameterError("need matching 1-d times and a stack of matrices")
         if len(times) < 2:
             raise TooFewSamplesError(f"need at least 2 samples, got {len(times)}")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise InvariantViolationError("sample times must be strictly increasing")
         if not duration > 0:
             raise InvalidParameterError(f"duration must be positive, got {duration}")
-        if abs(times[0]) > 1e-12 or abs(times[-1] - duration) > 1e-12:
+        if not (abs(times[0]) <= 1e-12 and abs(times[-1] - duration) <= 1e-12):
             raise InvariantViolationError(
                 f"samples must span [0, {duration}], got [{times[0]}, {times[-1]}]")
         herm = float(np.max(np.abs(hams - np.conj(np.transpose(hams, (0, 2, 1))))))
-        if herm > 1e-10:
+        if not herm <= 1e-10:
             raise InvariantViolationError(f"samples must be Hermitian: defect {herm:.3e}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "hamiltonians", hams)

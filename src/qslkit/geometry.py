@@ -13,8 +13,7 @@ checks are only meaningful at generic probes away from spectral kinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isinf
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -48,13 +47,6 @@ GENERIC_MARGIN = 1e-3
 
 CELL_ALL_GATES = "Constant Hamiltonian optimal for all gates"
 CELL_GEODESIC_GATES = "Constant Hamiltonian optimal only for gates passing the geodesic check"
-
-
-def _require_matching_dim(func, n: int) -> None:
-    want = getattr(func, "dim", None)
-    if want is not None and want != n:
-        raise DimensionMismatchError(
-            f"constraint expects dimension {want}, got dimension {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +88,7 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
-    _require_matching_dim(func, n)
+    con.require_dim(func, n)
     rng = _as_rng(seed)
     worst = 0.0
     is_norm = True
@@ -162,7 +154,7 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v,
     if u.shape != base.shape or v.shape != base.shape:
         raise DimensionMismatchError(
             f"direction shapes {u.shape}/{v.shape} do not match base {base.shape}")
-    _require_matching_dim(func, base.shape[0])
+    con.require_dim(func, base.shape[0])
     f0 = con.evaluate(func, base, validate=False)
     if not f0 > 0.0:
         raise InvalidParameterError(
@@ -212,7 +204,7 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
     constraint's action, i.e. whether a constant Hamiltonian along X is a
     candidate time-optimal drive."""
     x = require_algebra_element(x)
-    _require_matching_dim(func, x.shape[0])
+    con.require_dim(func, x.shape[0])
     fx = con.evaluate(func, x, validate=False)
     if not fx > 0.0:
         raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
@@ -235,24 +227,21 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     A passing report means the gate admits a time-optimal constant drive
     under this constraint, so no pulse-shaping search is needed for it.  By
     default only the principal logarithm is probed; ``branch_sweep`` > 0
-    checks every branch with winding up to that bound and reports the best.
+    checks every branch with winding up to that bound and reports the first
+    best, and raises if that bound admits no branch.
     """
     gate = require_special_unitary(gate)
     if is_identity(gate):
         raise IdentityGateError("geodesic check is undefined for the identity gate")
-    if branch_sweep <= 0:
-        branch = principal_log(gate)
-        report = geodesic_vector_check(func, branch.value, step=step, threshold=threshold)
-        return GeodesicReport(residuals=report.residuals,
-                              normalized_max=report.normalized_max,
-                              passes=report.passes, threshold=threshold, step=step,
-                              branch_shifts=tuple(branch.shifts.tolist()))
+    branches = log_branches(gate, branch_sweep) if branch_sweep > 0 else [principal_log(gate)]
+    if not branches:
+        principal_log(gate)  # the informative degenerate-cluster error, when it applies
+        raise InvalidParameterError(
+            f"no traceless logarithm branch with winding <= {branch_sweep}; raise branch_sweep")
     best = None
-    for branch in log_branches(gate, branch_sweep):
-        rep = geodesic_vector_check(func, branch.value, step=step, threshold=threshold)
-        rep = GeodesicReport(residuals=rep.residuals, normalized_max=rep.normalized_max,
-                             passes=rep.passes, threshold=threshold, step=step,
-                             branch_shifts=tuple(branch.shifts.tolist()))
+    for branch in branches:
+        rep = replace(geodesic_vector_check(func, branch.value, step=step, threshold=threshold),
+                      branch_shifts=tuple(branch.shifts.tolist()))
         if best is None or rep.normalized_max < best.normalized_max:
             best = rep
     return best
@@ -268,40 +257,11 @@ def kink_margin(func, a) -> float:
     Finite differences of F**2 assert nothing at spectral kinks (eigenvalue
     collisions, zero crossings under odd or fractional powers, ties between
     max/min arms), so probes are only considered generic when this margin is
-    comfortably positive.
+    comfortably positive.  Each constraint class knows its own kinks; this
+    computes the spectrum they share once.
     """
-    w = np.linalg.eigvalsh(1j * np.asarray(a))
-    margin = np.inf
-    if isinstance(func, con.Schatten):
-        if isinf(func.p):
-            # kinks where an extreme eigenvalue degenerates or where the top
-            # and bottom arms cross; on su(2) the arms coincide identically
-            # (w_min = -w_max), so the crossing is not a kink there
-            gaps = [float(w[-1] - w[-2]), float(w[1] - w[0])]
-            if len(w) > 2:
-                gaps.append(abs(float(w[-1] + w[0])))
-            margin = min(gaps)
-        else:
-            even_integer = abs(func.p - round(func.p)) < 1e-12 and int(round(func.p)) % 2 == 0
-            if not even_integer:
-                # odd or fractional powers kink where an eigenvalue crosses zero
-                margin = float(np.min(np.abs(w)))
-    elif isinstance(func, (con.SpectralRange, con.GroundShiftedMoment)):
-        margin = float(np.min(np.diff(w)))
-    elif isinstance(func, con.EnergyUncertainty):
-        margin = func.value(np.asarray(a))
-    elif isinstance(func, con.Randers):
-        margin = float(np.linalg.norm(a))
-    elif isinstance(func, (con.Max, con.Min)):
-        v1 = func.children[0].value(np.asarray(a))
-        v2 = func.children[1].value(np.asarray(a))
-        margin = abs(v1 - v2)
-    if func.children:
-        for child in func.children:
-            margin = min(margin, kink_margin(child, a))
-        if isinstance(func, (con.PowerMean, con.GeometricMean)):
-            margin = min(margin, *(c.value(np.asarray(a)) for c in func.children))
-    return margin
+    a = np.asarray(a)
+    return func.kink_margin(a, np.linalg.eigvalsh(1j * a))
 
 
 def sample_generic_probe(func, n: int, rng, scale: float = 2.0,

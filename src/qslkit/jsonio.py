@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from . import constraints as con
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 
 FLOAT_FORMAT = ".17g"
 
@@ -103,39 +103,33 @@ def _write(obj, out, indent, level):
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m) -> dict:
+    """Matrix or vector as {"dim", "re", "im"}; a vector gives 1-d lists."""
     m = np.asarray(m, dtype=np.complex128)
     return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def matrix_from_json(data) -> np.ndarray:
+vector_to_json = matrix_to_json
+
+
+def _complex_from_json(data, what: str, ndim: int) -> np.ndarray:
     try:
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix object: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise ConfigError(f"bad {what} object: {exc}") from exc
+    if re.shape != (dim,) * ndim or im.shape != (dim,) * ndim:
         raise ConfigError(
-            f"matrix field shapes {re.shape}/{im.shape} do not match dim {dim}")
+            f"{what} field shapes {re.shape}/{im.shape} do not match dim {dim}")
     return re + 1j * im
 
 
-def vector_to_json(v) -> dict:
-    v = np.asarray(v, dtype=np.complex128)
-    return {"dim": int(v.shape[0]), "re": v.real.tolist(), "im": v.imag.tolist()}
+def matrix_from_json(data) -> np.ndarray:
+    return _complex_from_json(data, "matrix", 2)
 
 
 def vector_from_json(data) -> np.ndarray:
-    try:
-        dim = int(data["dim"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad vector object: {exc}") from exc
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ConfigError(
-            f"vector field shapes {re.shape}/{im.shape} do not match dim {dim}")
-    return re + 1j * im
+    return _complex_from_json(data, "vector", 1)
 
 
 def load_json(path: str):
@@ -174,12 +168,20 @@ def _resolve(node, base_dir, parser, what):
 
 
 def constraint_from_json(data, base_dir=None):
-    """Build a constraint functional from its JSON description."""
+    """Build a constraint functional from its JSON description.
+
+    A malformed field, or a ``p`` outside its constraint's domain, raises
+    ConfigError naming the field.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("constraint spec must be an object with a 'kind' field")
     kind = data["kind"]
     params = data.get("params", {})
     children = data.get("children", [])
+    if not isinstance(params, dict):
+        raise ConfigError(f"field 'params': expected an object, got {params!r}")
+    if not isinstance(children, list):
+        raise ConfigError(f"field 'children': expected a list, got {children!r}")
     if kind in con.COMBINATOR_KINDS:
         if len(children) != 2:
             raise ConfigError(f"field 'children': {kind} needs exactly 2, got {len(children)}")
@@ -190,19 +192,18 @@ def constraint_from_json(data, base_dir=None):
             return con.Max(children=built)
         if kind == "min":
             return con.Min(children=built)
-        p = _parse_p(params, kind)
         if kind == "powmean":
-            return con.PowerMean(p=p, children=built)
-        return con.GeometricMean(p=p, children=built)
+            return _with_p(con.PowerMean, params, children=built)
+        return _with_p(con.GeometricMean, params, children=built)
     if children:
         raise ConfigError(f"field 'children': atom {kind!r} takes none")
     if kind == "schatten":
-        return con.Schatten(p=_parse_p(params, kind))
+        return _with_p(con.Schatten, params)
     if kind == "op_shifted":
         return con.SpectralRange()
     if kind == "ml":
         psi = _resolve(params.get("psi"), base_dir, vector_from_json, "params.psi")
-        return con.GroundShiftedMoment(p=_parse_p(params, kind), psi=psi)
+        return _with_p(con.GroundShiftedMoment, params, psi=psi)
     if kind == "mt":
         psi = _resolve(params.get("psi"), base_dir, vector_from_json, "params.psi")
         return con.EnergyUncertainty(psi=psi)
@@ -213,15 +214,23 @@ def constraint_from_json(data, base_dir=None):
     raise ConfigError(f"field 'kind': unknown constraint {kind!r}")
 
 
-def _parse_p(params, kind):
+def _with_p(cls, params, **fields):
+    """``cls(p=params["p"], **fields)``; a bad or out-of-domain p is a ConfigError."""
     if "p" not in params:
-        raise ConfigError(f"field 'params.p': required for {kind}")
+        raise ConfigError(f"field 'params.p': required for {cls.kind}")
     p = params["p"]
     if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"field 'params.p': bad value {p!r}")
-    return float(p)
+        if p.lower() not in ("inf", "infinity"):
+            raise ConfigError(f"field 'params.p': bad value {p!r}")
+        p = math.inf
+    try:
+        p = float(p)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'params.p': bad value {p!r}") from exc
+    try:
+        return cls(p=p, **fields)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"field 'params.p': {exc}") from exc
 
 
 def constraint_to_json(func) -> dict:

@@ -4,7 +4,8 @@ Everything works on plain ``numpy`` arrays.  A gate is an N x N complex
 array with ``U.conj().T @ U = I`` and ``det U = 1``; an algebra element is a
 traceless anti-Hermitian array (a Hamiltonian H enters as ``A = -1j * H``).
 Validation helpers raise typed errors instead of silently accepting bad
-input, and every tolerance is an overridable keyword.
+input (NaN and inf entries fail every check), and every tolerance is an
+overridable keyword.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def require_special_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
     u = as_square_matrix(u)
     n = u.shape[0]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > atol:
+    if not defect <= atol:
         raise InvariantViolationError(f"matrix is not unitary: max|U†U - I| = {defect:.3e}")
     det = complex(np.linalg.det(u))
-    if abs(det - 1.0) > atol:
+    if not abs(det - 1.0) <= atol:
         raise InvariantViolationError(f"matrix is not special unitary: det = {det:.17g}")
     return u
 
@@ -63,10 +64,10 @@ def require_algebra_element(a, atol: float = ALGEBRA_ATOL) -> np.ndarray:
     """Validate A† = -A and tr A = 0 within ``atol``."""
     a = as_square_matrix(a)
     defect = float(np.max(np.abs(a + a.conj().T)))
-    if defect > atol:
+    if not defect <= atol:
         raise InvariantViolationError(f"matrix is not anti-Hermitian: max|A + A†| = {defect:.3e}")
     tr = complex(np.trace(a))
-    if abs(tr) > atol:
+    if not abs(tr) <= atol:
         raise InvariantViolationError(f"matrix is not traceless: tr = {tr:.3e}")
     return a
 
@@ -114,7 +115,7 @@ def eig_normal(m, normality_atol: float = NORMALITY_ATOL) -> SpectralDecompositi
     """
     m = as_square_matrix(m)
     commut = float(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)))
-    if commut > normality_atol:
+    if not commut <= normality_atol:
         raise NotNormalError(f"matrix is not normal: max|MM† - M†M| = {commut:.3e}")
     try:
         t, q = scipy.linalg.schur(m, output="complex")

@@ -7,12 +7,14 @@ here and nowhere else.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import qslkit
 from qslkit import (
     EnergyUncertainty,
     GroundShiftedMoment,
@@ -208,8 +210,10 @@ def test_criterion_7_conjugation_minimization():
 
 def test_criterion_8_reproduce_determinism():
     cmd = [sys.executable, "-m", "qslkit", "reproduce", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the children import the qslkit under test, also under a bare `pytest`
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qslkit.__file__)))
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     identical = first.stdout == second.stdout and first.returncode == second.returncode == 0
     all_pass = first.stdout.decode().splitlines()[-1] == "all rows PASS"
     report(8, "reproduction determinism", identical and all_pass,

@@ -200,3 +200,41 @@ def test_tolerance_override_flag(capsys, schatten2):
                            "--output", "json")
     assert code == 0
     assert json.loads(out)["passes"] is False
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_exit_2_on_non_finite_kappa(capsys, schatten2, kappa):
+    code, _, err = run_cli(capsys, "time", "--gate", "identity:2",
+                           "--constraint", schatten2, "--kappa", kappa)
+    assert code == 2
+    assert "kappa" in err
+
+
+def test_exit_4_on_nan_gate_file(capsys, tmp_path, schatten2):
+    gate = np.eye(2, dtype=complex)
+    gate[0, 1] = np.nan
+    path = tmp_path / "gate.json"
+    save_matrix(str(path), gate)
+    code, _, err = run_cli(capsys, "time", "--gate", f"file:{path}",
+                           "--constraint", schatten2)
+    assert code == 4
+    assert "unitary" in err
+
+
+OP_SHIFTED_PAIR = [{"kind": "op_shifted"}, {"kind": "op_shifted"}]
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"kind": "schatten", "params": {"p": [1]}}, "params.p"),
+    ({"kind": "schatten", "params": {"p": None}}, "params.p"),
+    ({"kind": "sum", "children": 5}, "children"),
+    ({"kind": "schatten", "params": {"p": 0.5}}, "params.p"),
+    ({"kind": "powmean", "params": {"p": -1}, "children": OP_SHIFTED_PAIR}, "params.p"),
+    ({"kind": "schatten", "params": 5}, "params"),
+])
+def test_exit_2_on_malformed_constraint_spec(capsys, spec, field):
+    code, _, err = run_cli(capsys, "time", "--gate", "qft:2",
+                           "--constraint", json.dumps(spec))
+    assert code == 2
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err

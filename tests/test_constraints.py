@@ -18,10 +18,14 @@ from qslkit import (
     Schatten,
     SpectralRange,
     Sum,
+    InvariantViolationError,
     basis_state,
+    check_ad_invariance,
     check_homogeneity,
     energy_stats,
     evaluate,
+    gate_time,
+    haar_su,
     random_algebra_element,
 )
 
@@ -219,3 +223,45 @@ def test_energy_stats_ordering_invariant():
         assert stats.ground <= stats.expectation + 1e-12
         assert stats.expectation <= stats.top + 1e-12
         assert stats.uncertainty >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# facts carried by the classes, and non-finite input
+# ---------------------------------------------------------------------------
+
+def test_unitarily_invariant_marks_schatten_and_spectral_range_only():
+    marked = {f.kind for f in catalog(3) if f.unitarily_invariant}
+    assert marked == {"schatten", "op_shifted"}
+
+
+class SpectrumNorm:
+    """Duck-typed constraint: value, children and dim, no Constraint base."""
+
+    children = ()
+    dim = None
+
+    def value(self, a):
+        return Schatten(p=2).value(a)
+
+
+def test_duck_typed_constraint_works_without_base_class():
+    a = random_algebra_element(3, np.random.default_rng(4))
+    assert evaluate(SpectrumNorm(), a) == evaluate(Schatten(p=2), a)
+    gate = haar_su(3, seed=6)
+    assert gate_time(SpectrumNorm(), 1.0, gate, n_max=1).f_value == \
+        gate_time(Schatten(p=2), 1.0, gate, n_max=1).f_value
+    assert check_ad_invariance(SpectrumNorm(), 3, samples=20).ad_invariant
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_evaluate_rejects_non_finite_element(entry):
+    a = A_HALF_PI_X.copy()
+    a[0, 1] = entry
+    with pytest.raises(InvariantViolationError):
+        evaluate(Schatten(p=2), a)
+
+
+@pytest.mark.parametrize("psi", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_state_validation_rejects_non_finite(psi):
+    with pytest.raises(InvariantViolationError):
+        EnergyUncertainty(psi=np.array(psi, dtype=complex))

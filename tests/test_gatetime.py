@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from qslkit import (
+    DegenerateBranchTieError,
     EnergyUncertainty,
     GroundShiftedMoment,
     InvalidParameterError,
+    InvariantViolationError,
+    Max,
     Randers,
     Schatten,
     SpectralRange,
@@ -25,7 +28,7 @@ from qslkit import (
     principal_log,
     random_algebra_element,
 )
-from qslkit.gates import orthogonalizer
+from qslkit.gates import orthogonalizer, qft
 
 from grid_oracle import RANDERS_METRIC_DIAG, randers_grid_min
 
@@ -135,6 +138,21 @@ def test_gate_time_records_minimizing_branch():
 def test_gate_time_rejects_bad_kappa():
     with pytest.raises(InvalidParameterError):
         gate_time(Schatten(p=2), 0.0, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("kappa", [np.inf, np.nan, -np.inf])
+def test_gate_time_rejects_non_finite_kappa(kappa):
+    with pytest.raises(InvalidParameterError):
+        gate_time(Schatten(p=2), kappa, orthogonalizer(np.pi, 2))
+
+
+def test_gate_time_invariance_self_check_on_qft6():
+    # the principal log of qft:6 would split a degenerate cluster; only the
+    # invariant atoms run the principal-branch self-check, so only they raise
+    with pytest.raises(DegenerateBranchTieError):
+        gate_time(Schatten(p=2), 1, qft(6), n_max=2)
+    tree = Max(children=(Schatten(p=2), SpectralRange()))
+    assert gate_time(tree, 1, qft(6), n_max=2).time == 7.853981633974479
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +351,20 @@ def test_trajectory_validation():
     with pytest.raises(InvariantViolationError):
         Trajectory(times=np.array([0.0, 1.0]), hamiltonians=np.stack([skew] * 2),
                    duration=1.0)
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("where", ["hamiltonian", "hamiltonian_inf", "time"])
+def test_trajectory_rejects_non_finite(where):
+    times = np.array([0.0, 0.5, 1.0])
+    hams = np.stack([SIGMA_X] * 3)
+    if where == "hamiltonian":
+        hams[1, 0, 0] = np.nan
+    elif where == "hamiltonian_inf":
+        hams[1, 0, 1] = np.inf
+    else:
+        times[1] = np.nan
+    with pytest.raises(InvariantViolationError):
+        Trajectory(times=times, hamiltonians=hams, duration=1.0)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qslkit import (
+    DegenerateBranchTieError,
     EnergyUncertainty,
     GroundShiftedMoment,
     IdentityGateError,
     InvalidParameterError,
     Max,
+    PowerMean,
     Randers,
     Schatten,
     SpectralRange,
@@ -270,6 +272,12 @@ def test_branch_sweep_reports_best_branch():
     assert rep3.normalized_max <= rep0.normalized_max + 1e-12
 
 
+def test_branch_sweep_with_no_branch_raises():
+    # -I in SU(2) has no cluster-coherent traceless branch at any winding
+    with pytest.raises(DegenerateBranchTieError):
+        gate_geodesic_check(Schatten(p=2), -np.eye(2, dtype=complex), branch_sweep=1)
+
+
 # ---------------------------------------------------------------------------
 # generic probe machinery
 # ---------------------------------------------------------------------------
@@ -291,6 +299,23 @@ def test_kink_margin_max_combinator():
     tree = Max(children=(f1, f2))
     x = random_algebra_element(2, np.random.default_rng(1))
     assert kink_margin(tree, x) == 0.0  # arms identically equal
+
+
+def test_kink_margin_facts_per_class():
+    x = random_algebra_element(3, np.random.default_rng(2))
+    w = np.linalg.eigvalsh(1j * x)
+    gap = float(np.min(np.diff(w)))
+    psi = basis_state(3)
+    mt = EnergyUncertainty(psi=psi)
+    assert kink_margin(SpectralRange(), x) == gap
+    assert kink_margin(GroundShiftedMoment(p=1.5, psi=psi), x) == gap
+    assert kink_margin(Schatten(p=3), x) == float(np.min(np.abs(w)))
+    assert kink_margin(mt, x) == evaluate(mt, x)
+    assert kink_margin(small_randers(n=3), x) == float(np.linalg.norm(x))
+    # a mean kinks where a child vanishes, as well as at the children's kinks
+    mean = PowerMean(p=3, children=(Schatten(p=2), mt))
+    assert kink_margin(mean, x) == min(evaluate(mt, x), evaluate(Schatten(p=2), x))
+    assert kink_margin(Sum(children=(Schatten(p=2), SpectralRange())), x) == gap
 
 
 def test_generic_probe_respects_margin():

@@ -40,6 +40,17 @@ def test_matrix_shape_validation():
         matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
 
 
+@pytest.mark.parametrize("parse,data,message", [
+    (matrix_from_json, {"dim": 2, "re": [1, 0], "im": [0, 0]}, "matrix field shapes"),
+    (vector_from_json, {"dim": 2, "re": [[1, 0]], "im": [[0, 0]]}, "vector field shapes"),
+    (matrix_from_json, {"dim": 2, "re": [[1, 0]]}, "bad matrix object"),
+    (vector_from_json, {"re": [1, 0], "im": [0, 0]}, "bad vector object"),
+])
+def test_complex_array_errors_name_the_kind(parse, data, message):
+    with pytest.raises(ConfigError, match=message):
+        parse(data)
+
+
 def test_canonical_json_is_fixed_point():
     obj = {"b": 0.1, "a": [1, 2.5, -0.0], "nested": {"x": True, "y": None, "z": "s"}}
     text = dumps_canonical(obj)

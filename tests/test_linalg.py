@@ -65,6 +65,12 @@ def test_eig_rejects_non_normal():
         eig_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_eig_rejects_non_finite(entry):
+    with pytest.raises(NotNormalError):
+        eig_normal(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
 def test_eig_orthonormal_on_degenerate_spectrum():
     # eigenvalue 1 with multiplicity 3, in a scrambled basis
     v = haar_su(4, seed=5)
@@ -97,6 +103,24 @@ def test_expm_semigroup():
 def test_expm_rejects_non_algebra_input():
     with pytest.raises(InvariantViolationError):
         expm(np.eye(2))
+
+
+@pytest.mark.parametrize("entry,pos", [(np.nan, (0, 0)), (np.nan, (0, 1)),
+                                       (np.inf, (1, 1)), (complex(0, np.nan), (1, 0))])
+def test_require_special_unitary_rejects_non_finite(entry, pos):
+    u = np.eye(2, dtype=complex)
+    u[pos] = entry
+    with pytest.raises(InvariantViolationError):
+        require_special_unitary(u)
+
+
+@pytest.mark.parametrize("entry,pos", [(np.nan, (0, 0)), (np.nan, (0, 1)),
+                                       (np.inf, (1, 1)), (complex(0, np.inf), (0, 0))])
+def test_require_algebra_element_rejects_non_finite(entry, pos):
+    a = -1j * (np.pi / 2) * SX
+    a[pos] = entry
+    with pytest.raises(InvariantViolationError):
+        require_algebra_element(a)
 
 
 # ---------------------------------------------------------------------------
