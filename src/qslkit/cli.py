@@ -5,6 +5,14 @@ canonical JSON report (sorted keys, 17-significant-digit floats, byte-stable
 across runs for a fixed seed) and ``--output csv`` a flat delimited form for
 external plotters.
 
+A command builds one report dict, which is its JSON form.  A one-row command
+states its output once, as table rows ``(label, report key, format spec)``
+and a list of CSV columns (report keys), and ``_one_row`` renders both from
+the report.  ``classify`` prints its one classification line; ``branches``
+and ``reproduce`` emit one CSV row per branch or bound and build their own
+tables.  Flag bounds are argparse ``type=`` validators raising ConfigError, so
+an out-of-bounds value exits 2 before any file is read.
+
 Exit codes: 0 success, 1 a reproduction row failed, 2 configuration parse
 error, 3 numerical non-convergence, 4 invariant violation in the inputs.
 """
@@ -12,46 +20,43 @@ error, 3 numerical non-convergence, 4 invariant violation in the inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import gates, geometry, jsonio
+from .constraints import EnergyUncertainty, GroundShiftedMoment, SpectralRange, basis_state
 from .errors import ConfigError, NoConvergenceError, OptimizerDidNotConvergeError, QslError
 from .gatetime import Trajectory, action, analytic_bounds, conj_min_time, gate_time
-from .constraints import GroundShiftedMoment, EnergyUncertainty, SpectralRange, basis_state
+from .linalg import UNITARY_ATOL, log_branches
 
 TABLE_SIG = ".10g"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    gate: Optional[np.ndarray] = None
-    gate_spec: Optional[str] = None
-    constraint: Optional[object] = None
-    constraint_arg: Optional[str] = None
-    trajectory: Optional[Trajectory] = None
-    trajectory_path: Optional[str] = None
-    kappa: float = 1.0
-    n_max: int = 0
-    seed: int = 0
-    restarts: int = 16
-    samples: int = 200
-    dim: Optional[int] = None
-    step: float = geometry.FD_STEP
-    threshold: Optional[float] = None
-    branch_sweep: int = 0
-    output: str = "table"
-    tolerances: dict = field(default_factory=dict)
-
-
 def _fmt(x: float) -> str:
     return format(float(x), TABLE_SIG)
+
+
+def _checked(cast, field, must, ok):
+    """argparse ``type=``: cast the text, then refuse values outside the bound."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise ConfigError(f"field '{field}': must be {must}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
+def _at_least(field, low):
+    return _checked(int, field, f">= {low}", lambda v: v >= low)
+
+
+def _positive_finite(field):
+    return _checked(float, field, "finite and > 0", lambda v: 0 < v < math.inf)
 
 
 def _parse_args(argv):
@@ -61,116 +66,95 @@ def _parse_args(argv):
                     "resource constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gate=False, constraint=False):
+    def command(name, run, summary, gate=False, constraint=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, gate_spec=None, constraint=None, trajectory_path=None)
         p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_at_least("seed", 0), default=0,
                        help="random seed (QSL_SEED environment variable wins)")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="override a tolerance: unitary, invariance, geodesic")
         if gate:
-            p.add_argument("--gate", required=True,
+            p.add_argument("--gate", dest="gate_spec", metavar="GATE", required=True,
                            help="identity:N | orthogonalizer:theta:N | qft:N | file:path")
         if constraint:
             p.add_argument("--constraint", required=True,
                            help="constraint JSON file, or inline JSON starting with '{'")
+        return p
 
-    p = sub.add_parser("time", help="branch-minimized gate time")
-    add_common(p, gate=True, constraint=True)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--n-max", type=int, default=0)
+    kappa = {"type": _positive_finite("kappa"), "default": 1.0}
+    n_max = _at_least("n_max", 0)
+    dim = {"type": _at_least("dim", 2), "default": None}
+    samples = {"type": _at_least("samples", 1), "default": 200}
 
-    p = sub.add_parser("branches", help="list traceless logarithm branches")
-    add_common(p, gate=True)
-    p.add_argument("--n-max", type=int, default=1)
+    p = command("time", _cmd_time, "branch-minimized gate time", gate=True, constraint=True)
+    p.add_argument("--kappa", **kappa)
+    p.add_argument("--n-max", type=n_max, default=0)
 
-    p = sub.add_parser("conjmin", help="minimize the time over conjugations")
-    add_common(p, gate=True, constraint=True)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--restarts", type=int, default=16)
+    p = command("branches", _cmd_branches, "list traceless logarithm branches", gate=True)
+    p.add_argument("--n-max", type=n_max, default=1)
 
-    p = sub.add_parser("action", help="integrate the constraint along a trajectory")
-    add_common(p, constraint=True)
-    p.add_argument("--trajectory", required=True, help="trajectory JSON file")
+    p = command("conjmin", _cmd_conjmin, "minimize the time over conjugations",
+                gate=True, constraint=True)
+    p.add_argument("--kappa", **kappa)
+    p.add_argument("--restarts", type=_at_least("restarts", 1), default=16)
 
-    p = sub.add_parser("invariance", help="test conjugation invariance of a constraint")
-    add_common(p, constraint=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p = command("action", _cmd_action, "integrate the constraint along a trajectory",
+                constraint=True)
+    p.add_argument("--trajectory", dest="trajectory_path", metavar="TRAJECTORY",
+                   required=True, help="trajectory JSON file")
 
-    p = sub.add_parser("geodesic", help="per-gate constant-drive optimality check")
-    add_common(p, gate=True, constraint=True)
-    p.add_argument("--step", type=float, default=geometry.FD_STEP)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--branch-sweep", type=int, default=0)
+    p = command("invariance", _cmd_invariance, "test conjugation invariance of a constraint",
+                constraint=True)
+    p.add_argument("--dim", **dim)
+    p.add_argument("--samples", **samples)
 
-    p = sub.add_parser("classify", help="summary-table cell for a constraint")
-    add_common(p, constraint=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p = command("geodesic", _cmd_geodesic, "per-gate constant-drive optimality check",
+                gate=True, constraint=True)
+    p.add_argument("--step", type=_positive_finite("step"), default=geometry.FD_STEP)
+    p.add_argument("--threshold", type=_positive_finite("threshold"), default=None)
+    p.add_argument("--branch-sweep", type=_at_least("branch_sweep", 0), default=0)
 
-    p = sub.add_parser("reproduce", help="closed-form bound reproduction suite")
-    add_common(p)
+    p = command("classify", _cmd_classify, "summary-table cell for a constraint",
+                constraint=True)
+    p.add_argument("--dim", **dim)
+    p.add_argument("--samples", **samples)
 
+    command("reproduce", _cmd_reproduce, "closed-form bound reproduction suite")
     return parser.parse_args(argv)
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, output=args.output)
+def _resolve(args) -> None:
+    """Replace ``--tol`` by the tolerance table, apply QSL_SEED, and load every
+    referenced file before any computation starts."""
+    tol = {"unitary": UNITARY_ATOL, "invariance": geometry.INVARIANCE_THRESHOLD,
+           "geodesic": geometry.GEODESIC_THRESHOLD}
     for item in args.tol:
-        if "=" not in item:
+        name, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"field 'tol': expected NAME=VALUE, got {item!r}")
-        name, _, raw = item.partition("=")
+        if name not in tol:
+            raise ConfigError(f"field 'tol.{name}': unknown tolerance; expected "
+                              "unitary, invariance or geodesic")
         try:
-            cfg.tolerances[name] = float(raw)
+            tol[name] = _positive_finite(f"tol.{name}")(raw)
         except ValueError as exc:
             raise ConfigError(f"field 'tol.{name}': {exc}") from exc
+    args.tol = tol
 
-    cfg.seed = args.seed
     env_seed = os.environ.get("QSL_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            args.seed = _at_least("QSL_SEED", 0)(env_seed)
         except ValueError as exc:
             raise ConfigError(f"QSL_SEED: {exc}") from exc
 
-    # resolve every referenced file before any computation starts
-    unitary_atol = cfg.tolerances.get("unitary", 1e-10)
-    if getattr(args, "constraint", None) is not None:
-        cfg.constraint_arg = args.constraint
-        cfg.constraint = jsonio.parse_constraint_arg(args.constraint)
-    if getattr(args, "gate", None) is not None:
-        cfg.gate_spec = args.gate
-        cfg.gate = gates.parse_gate_spec(args.gate, loader=jsonio.load_matrix,
-                                         atol=unitary_atol)
-    if getattr(args, "trajectory", None) is not None:
-        cfg.trajectory_path = args.trajectory
-        cfg.trajectory = _load_trajectory(args.trajectory)
-
-    if hasattr(args, "kappa"):
-        if not 0 < args.kappa < math.inf:
-            raise ConfigError(f"field 'kappa': must be finite and > 0, got {args.kappa}")
-        cfg.kappa = args.kappa
-    if hasattr(args, "n_max"):
-        if args.n_max < 0:
-            raise ConfigError(f"field 'n_max': must be >= 0, got {args.n_max}")
-        cfg.n_max = args.n_max
-    if hasattr(args, "restarts"):
-        if args.restarts < 1:
-            raise ConfigError(f"field 'restarts': must be >= 1, got {args.restarts}")
-        cfg.restarts = args.restarts
-    if hasattr(args, "samples"):
-        if args.samples < 1:
-            raise ConfigError(f"field 'samples': must be >= 1, got {args.samples}")
-        cfg.samples = args.samples
-    if hasattr(args, "dim"):
-        cfg.dim = args.dim
-    if hasattr(args, "step"):
-        cfg.step = args.step
-    if hasattr(args, "threshold"):
-        cfg.threshold = args.threshold
-    if hasattr(args, "branch_sweep"):
-        cfg.branch_sweep = args.branch_sweep
-    return cfg
+    if args.constraint is not None:
+        args.constraint = jsonio.parse_constraint_arg(args.constraint)
+    if args.gate_spec is not None:
+        args.gate = gates.parse_gate_spec(args.gate_spec, atol=tol["unitary"])
+    if args.trajectory_path is not None:
+        args.trajectory = _load_trajectory(args.trajectory_path)
 
 
 def _load_trajectory(path: str) -> Trajectory:
@@ -184,193 +168,138 @@ def _load_trajectory(path: str) -> Trajectory:
     return Trajectory.from_samples(samples, duration=duration)
 
 
-def _infer_dim(cfg: RunConfig, default: int = 3) -> int:
-    if cfg.dim is not None:
-        if cfg.dim < 2:
-            raise ConfigError(f"field 'dim': must be >= 2, got {cfg.dim}")
-        return cfg.dim
-    hinted = getattr(cfg.constraint, "dim", None)
-    return hinted if hinted is not None else default
+def _one_row(report, table, csv):
+    """Report, table lines, CSV rows and exit code of a one-row command.
+
+    A table row prints ``label = value``: a bool as yes/no, a list as its
+    items joined by spaces, anything else through its format spec; a None
+    value drops the row.
+    """
+    lines = []
+    for label, key, spec in table:
+        value = report[key]
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, list):
+            value = " ".join(str(x) for x in value)
+        lines.append(f"{label} = {format(value, spec)}")
+    return report, lines, [{key: report[key] for key in csv}], 0
 
 
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_time(cfg: RunConfig):
-    res = gate_time(cfg.constraint, cfg.kappa, cfg.gate, n_max=cfg.n_max,
-                    atol=cfg.tolerances.get("unitary", 1e-10))
-    report = {
+def _cmd_time(args):
+    res = gate_time(args.constraint, args.kappa, args.gate, n_max=args.n_max,
+                    atol=args.tol["unitary"])
+    return _one_row({
         "command": "time",
-        "gate": cfg.gate_spec,
-        "kappa": cfg.kappa,
-        "n_max": cfg.n_max,
+        "gate": args.gate_spec,
+        "kappa": args.kappa,
+        "n_max": args.n_max,
         "time": res.time,
         "f_value": res.f_value,
         "branch_shifts": [int(s) for s in res.branch.shifts],
         "branches_considered": res.diagnostics.branches_considered,
-    }
-    table = [
-        f"T = {_fmt(res.time)}",
-        f"f(log O) = {_fmt(res.f_value)}",
-        f"kappa = {_fmt(res.kappa)}",
-        "branch shifts = " + " ".join(str(int(s)) for s in res.branch.shifts),
-        f"branches considered = {res.diagnostics.branches_considered}",
-    ]
-    rows = [{k: report[k] for k in ("time", "f_value", "kappa", "n_max",
-                                    "branch_shifts", "branches_considered")}]
-    rows[0]["kappa"] = cfg.kappa
-    return report, table, rows, 0
+    }, [("T", "time", TABLE_SIG), ("f(log O)", "f_value", TABLE_SIG),
+        ("kappa", "kappa", TABLE_SIG), ("branch shifts", "branch_shifts", ""),
+        ("branches considered", "branches_considered", "")],
+        ["time", "f_value", "kappa", "n_max", "branch_shifts", "branches_considered"])
 
 
-def _cmd_branches(cfg: RunConfig):
-    from .linalg import log_branches
-    branches = log_branches(cfg.gate, cfg.n_max,
-                            atol=cfg.tolerances.get("unitary", 1e-10))
-    rows = []
-    for i, b in enumerate(branches):
-        rows.append({
-            "branch": i,
-            "shifts": [int(s) for s in b.shifts],
-            "frobenius": b.frobenius(),
-            "shifted_angles": [float(x) for x in b.shifted_angles],
-        })
-    report = {"command": "branches", "gate": cfg.gate_spec, "n_max": cfg.n_max,
-              "count": len(branches), "branches": rows}
-    table = [f"{len(branches)} traceless logarithm branches (|n_k| <= {cfg.n_max})",
+def _cmd_branches(args):
+    rows = [{"branch": i,
+             "shifts": [int(s) for s in b.shifts],
+             "frobenius": b.frobenius(),
+             "shifted_angles": [float(x) for x in b.shifted_angles]}
+            for i, b in enumerate(log_branches(args.gate, args.n_max,
+                                               atol=args.tol["unitary"]))]
+    report = {"command": "branches", "gate": args.gate_spec, "n_max": args.n_max,
+              "count": len(rows), "branches": rows}
+    table = [f"{len(rows)} traceless logarithm branches (|n_k| <= {args.n_max})",
              f"{'branch':>6}  {'frobenius':>12}  shifts / shifted angles"]
-    for row in rows:
-        table.append(f"{row['branch']:>6}  {_fmt(row['frobenius']):>12}  "
-                     + " ".join(str(s) for s in row["shifts"])
-                     + "  |  " + " ".join(_fmt(a) for a in row["shifted_angles"]))
+    table += [f"{row['branch']:>6}  {_fmt(row['frobenius']):>12}  "
+              + " ".join(str(s) for s in row["shifts"])
+              + "  |  " + " ".join(_fmt(a) for a in row["shifted_angles"])
+              for row in rows]
     return report, table, rows, 0
 
 
-def _cmd_conjmin(cfg: RunConfig):
-    res = conj_min_time(cfg.constraint, cfg.kappa, cfg.gate,
-                        restarts=cfg.restarts, seed=cfg.seed,
-                        atol=cfg.tolerances.get("unitary", 1e-10))
-    report = {
+def _cmd_conjmin(args):
+    res = conj_min_time(args.constraint, args.kappa, args.gate, restarts=args.restarts,
+                        seed=args.seed, atol=args.tol["unitary"])
+    return _one_row({
         "command": "conjmin",
-        "gate": cfg.gate_spec,
-        "kappa": cfg.kappa,
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
+        "gate": args.gate_spec,
+        "kappa": args.kappa,
+        "seed": args.seed,
+        "restarts": args.restarts,
         "time": res.time,
         "f_value": res.f_value,
         "converged": res.diagnostics.converged,
         "iterations": res.diagnostics.optimizer_iterations,
         "conjugator": jsonio.matrix_to_json(res.conjugator),
-    }
-    table = [
-        f"T = {_fmt(res.time)}",
-        f"f min = {_fmt(res.f_value)}",
-        f"kappa = {_fmt(res.kappa)}",
-        f"converged = {'yes' if res.diagnostics.converged else 'no'}",
-        f"iterations = {res.diagnostics.optimizer_iterations}",
-        f"restarts = {cfg.restarts}",
-    ]
-    rows = [{k: report[k] for k in ("time", "f_value", "kappa", "restarts",
-                                    "seed", "converged", "iterations")}]
-    return report, table, rows, 0
+    }, [("T", "time", TABLE_SIG), ("f min", "f_value", TABLE_SIG),
+        ("kappa", "kappa", TABLE_SIG), ("converged", "converged", ""),
+        ("iterations", "iterations", ""), ("restarts", "restarts", "")],
+        ["time", "f_value", "kappa", "restarts", "seed", "converged", "iterations"])
 
 
-def _cmd_action(cfg: RunConfig):
-    value = action(cfg.constraint, cfg.trajectory)
-    report = {
+def _cmd_action(args):
+    return _one_row({
         "command": "action",
-        "trajectory": cfg.trajectory_path,
-        "samples": int(len(cfg.trajectory.times)),
-        "duration": float(cfg.trajectory.duration),
-        "action": value,
-    }
-    table = [
-        f"S = {_fmt(value)}",
-        f"duration = {_fmt(cfg.trajectory.duration)}",
-        f"samples = {len(cfg.trajectory.times)}",
-    ]
-    rows = [{k: report[k] for k in ("action", "duration", "samples")}]
-    return report, table, rows, 0
+        "trajectory": args.trajectory_path,
+        "samples": int(len(args.trajectory.times)),
+        "duration": float(args.trajectory.duration),
+        "action": action(args.constraint, args.trajectory),
+    }, [("S", "action", TABLE_SIG), ("duration", "duration", TABLE_SIG),
+        ("samples", "samples", "")],
+        ["action", "duration", "samples"])
 
 
-def _invariance_report(cfg: RunConfig):
-    n = _infer_dim(cfg)
-    return n, geometry.check_ad_invariance(
-        cfg.constraint, n, samples=cfg.samples, seed=cfg.seed,
-        threshold=cfg.tolerances.get("invariance", geometry.INVARIANCE_THRESHOLD))
+def _check_invariance(args, command):
+    n = args.dim or args.constraint.dim or 3
+    rep = geometry.check_ad_invariance(args.constraint, n, samples=args.samples,
+                                       seed=args.seed, threshold=args.tol["invariance"])
+    return rep, {"command": command, "dim": n, **dataclasses.asdict(rep)}
 
 
-def _cmd_invariance(cfg: RunConfig):
-    n, rep = _invariance_report(cfg)
-    report = {
-        "command": "invariance",
-        "dim": n,
-        "ad_invariant": rep.ad_invariant,
-        "max_deviation": rep.max_deviation,
-        "samples": rep.samples,
-        "is_norm": rep.is_norm,
-        "table_cell": rep.table_cell,
-        "seed": rep.seed,
-        "threshold": rep.threshold,
-    }
-    table = [
-        f"Ad-invariant = {'yes' if rep.ad_invariant else 'no'}",
-        f"max deviation = {rep.max_deviation:.3e}",
-        f"samples = {rep.samples}",
-        f"norm axioms (sampled) = {'yes' if rep.is_norm else 'no'}",
-        f"cell = {rep.table_cell}",
-    ]
-    rows = [{k: report[k] for k in ("dim", "ad_invariant", "max_deviation",
-                                    "samples", "is_norm", "seed", "threshold")}]
-    return report, table, rows, 0
+def _cmd_invariance(args):
+    _, report = _check_invariance(args, "invariance")
+    return _one_row(report, [
+        ("Ad-invariant", "ad_invariant", ""), ("max deviation", "max_deviation", ".3e"),
+        ("samples", "samples", ""), ("norm axioms (sampled)", "is_norm", ""),
+        ("cell", "table_cell", "")],
+        ["dim", "ad_invariant", "max_deviation", "samples", "is_norm", "seed", "threshold"])
 
 
-def _cmd_geodesic(cfg: RunConfig):
+def _cmd_geodesic(args):
     rep = geometry.gate_geodesic_check(
-        cfg.constraint, cfg.gate, step=cfg.step,
-        threshold=cfg.threshold if cfg.threshold is not None
-        else cfg.tolerances.get("geodesic", geometry.GEODESIC_THRESHOLD),
-        branch_sweep=cfg.branch_sweep)
-    report = {
+        args.constraint, args.gate, step=args.step,
+        threshold=args.threshold or args.tol["geodesic"], branch_sweep=args.branch_sweep)
+    return _one_row({
         "command": "geodesic",
-        "gate": cfg.gate_spec,
+        "gate": args.gate_spec,
         "passes": rep.passes,
         "normalized_max": rep.normalized_max,
         "threshold": rep.threshold,
         "step": rep.step,
         "branch_shifts": list(rep.branch_shifts) if rep.branch_shifts else None,
         "residuals": [float(r) for r in rep.residuals],
-    }
-    table = [
-        f"passes = {'yes' if rep.passes else 'no'}",
-        f"normalized max residual = {rep.normalized_max:.3e}",
-        f"threshold = {rep.threshold:g}",
-        f"step = {rep.step:g}",
-    ]
-    if rep.branch_shifts is not None:
-        table.append("branch shifts = " + " ".join(str(s) for s in rep.branch_shifts))
-    rows = [{k: report[k] for k in ("passes", "normalized_max", "threshold", "step")}]
-    return report, table, rows, 0
+    }, [("passes", "passes", ""), ("normalized max residual", "normalized_max", ".3e"),
+        ("threshold", "threshold", "g"), ("step", "step", "g"),
+        ("branch shifts", "branch_shifts", "")],
+        ["passes", "normalized_max", "threshold", "step"])
 
 
-def _cmd_classify(cfg: RunConfig):
-    n, rep = _invariance_report(cfg)
-    line = geometry.classification_line(rep)
-    report = {
-        "command": "classify",
-        "dim": n,
-        "ad_invariant": rep.ad_invariant,
-        "is_norm": rep.is_norm,
-        "classification": line,
-        "table_cell": rep.table_cell,
-        "max_deviation": rep.max_deviation,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "threshold": rep.threshold,
-    }
-    rows = [{k: report[k] for k in ("dim", "ad_invariant", "is_norm",
-                                    "classification")}]
-    return report, [line], rows, 0
+def _cmd_classify(args):
+    rep, report = _check_invariance(args, "classify")
+    line = report["classification"] = geometry.classification_line(rep)
+    columns = ("dim", "ad_invariant", "is_norm", "classification")
+    return report, [line], [{key: report[key] for key in columns}], 0
 
 
 _REPRODUCE_CASES = [("ml", p, n) for p in (1.0, 2.0, 3.0) for n in (2, 3, 4)] + \
@@ -378,77 +307,47 @@ _REPRODUCE_CASES = [("ml", p, n) for p in (1.0, 2.0, 3.0) for n in (2, 3, 4)] + 
                    [("opnorm", None, n) for n in (2, 3, 4)]
 
 
-def _cmd_reproduce(cfg: RunConfig):
+def _cmd_reproduce(args):
     tol = 1e-9
     rows = []
-    all_pass = True
     for family, p, n in _REPRODUCE_CASES:
         anchor = basis_state(n, 0)
-        if family == "ml":
-            func = GroundShiftedMoment(p=p, psi=anchor)
-        elif family == "mt":
-            func = EnergyUncertainty(psi=anchor)
-        else:
-            func = SpectralRange()
-        gate = gates.orthogonalizer(np.pi, n)
-        computed = gate_time(func, 1.0, gate).time
+        func = (GroundShiftedMoment(p=p, psi=anchor) if family == "ml"
+                else EnergyUncertainty(psi=anchor) if family == "mt"
+                else SpectralRange())
+        computed = gate_time(func, 1.0, gates.orthogonalizer(np.pi, n)).time
         expected = analytic_bounds(family, 1.0, p=p)
         err = abs(computed - expected)
-        ok = err < tol
-        all_pass = all_pass and ok
-        rows.append({
-            "bound": family,
-            "p": p if p is not None else "",
-            "n": n,
-            "computed": computed,
-            "analytic": expected,
-            "abs_error": err,
-            "status": "PASS" if ok else "FAIL",
-        })
-    report = {"command": "reproduce", "seed": cfg.seed, "tolerance": tol,
-              "all_pass": all_pass,
-              "rows": [dict(r, p=(r["p"] if r["p"] != "" else None)) for r in rows]}
-    table = [f"closed-form bound reproduction (kappa = 1, tolerance {tol:g}, seed {cfg.seed})",
+        rows.append({"bound": family, "p": p, "n": n, "computed": computed,
+                     "analytic": expected, "abs_error": err,
+                     "status": "PASS" if err < tol else "FAIL"})
+    all_pass = all(r["status"] == "PASS" for r in rows)
+    report = {"command": "reproduce", "seed": args.seed, "tolerance": tol,
+              "all_pass": all_pass, "rows": rows}
+    table = [f"closed-form bound reproduction (kappa = 1, tolerance {tol:g}, seed {args.seed})",
              f"{'bound':<7}{'p':<5}{'N':<3}{'computed':>14}{'analytic':>14}{'abs error':>12}  status"]
     for r in rows:
-        pcell = _fmt(r["p"]) if r["p"] != "" else "-"
+        pcell = "-" if r["p"] is None else _fmt(r["p"])
         table.append(f"{r['bound']:<7}{pcell:<5}{r['n']:<3}"
                      f"{_fmt(r['computed']):>14}{_fmt(r['analytic']):>14}"
                      f"{r['abs_error']:>12.3e}  {r['status']}")
     table.append("all rows PASS" if all_pass else "FAILURES present")
+    # the CSV writes p = None as an empty cell
     return report, table, rows, 0 if all_pass else 1
-
-
-_COMMANDS = {
-    "time": _cmd_time,
-    "branches": _cmd_branches,
-    "conjmin": _cmd_conjmin,
-    "action": _cmd_action,
-    "invariance": _cmd_invariance,
-    "geodesic": _cmd_geodesic,
-    "classify": _cmd_classify,
-    "reproduce": _cmd_reproduce,
-}
-
-
-def run(cfg: RunConfig, out=None) -> int:
-    """Execute a resolved configuration, writing the report to ``out``."""
-    out = out if out is not None else sys.stdout
-    report, table, rows, code = _COMMANDS[cfg.command](cfg)
-    if cfg.output == "json":
-        out.write(jsonio.dumps_canonical(report))
-    elif cfg.output == "csv":
-        out.write(jsonio.rows_to_csv(rows))
-    else:
-        out.write("\n".join(table) + "\n")
-    return code
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        cfg = _build_config(args)
-        return run(cfg)
+        _resolve(args)
+        report, table, rows, code = args.run(args)
+        if args.output == "json":
+            sys.stdout.write(jsonio.dumps_canonical(report))
+        elif args.output == "csv":
+            sys.stdout.write(jsonio.rows_to_csv(rows))
+        else:
+            sys.stdout.write("\n".join(table) + "\n")
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

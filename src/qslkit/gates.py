@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .linalg import require_special_unitary
+from .jsonio import load_matrix
+from .linalg import UNITARY_ATOL, require_special_unitary
 
 
 def identity(n: int) -> np.ndarray:
@@ -50,11 +51,10 @@ def qft(n: int) -> np.ndarray:
     return f / np.linalg.det(f) ** (1.0 / n)
 
 
-def parse_gate_spec(spec: str, loader=None, atol: float = 1e-10) -> np.ndarray:
+def parse_gate_spec(spec: str, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Resolve a gate-spec string to a validated special unitary matrix.
 
-    ``loader`` maps a path to a matrix (installed by the CLI so file specs
-    share the JSON reader); it is required only for ``file:`` specs.
+    ``file:path`` specs are read with ``jsonio.load_matrix``.
     """
     parts = spec.split(":")
     name = parts[0]
@@ -66,9 +66,7 @@ def parse_gate_spec(spec: str, loader=None, atol: float = 1e-10) -> np.ndarray:
         elif name == "qft" and len(parts) == 2:
             gate = qft(int(parts[1]))
         elif name == "file" and len(parts) >= 2:
-            if loader is None:
-                raise ConfigError("file: gate specs need a loader")
-            gate = loader(spec.split(":", 1)[1])
+            gate = load_matrix(spec.split(":", 1)[1])
         else:
             raise ConfigError(
                 f"unknown gate spec {spec!r}; expected identity:N, "

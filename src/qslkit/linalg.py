@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import scipy.linalg
@@ -293,9 +293,8 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
     A branch is a choice of one integer winding per eigenvalue cluster
     (repeated eigenvalues share a winding so the result does not depend on the
     arbitrary basis inside a degenerate eigenspace), subject to the traceless
-    constraint that the shifted angles sum to zero.  The list is deduplicated
-    and sorted by Frobenius norm of the branch value, ties broken by the shift
-    vector.
+    constraint that the shifted angles sum to zero.  The list is sorted by
+    Frobenius norm of the branch value, ties broken by the shift vector.
     """
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
@@ -303,48 +302,22 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
     clusters = _cluster_eigenangles(eig_normal(u), cluster_atol)
     target = -clusters.winding
 
-    sizes = []
-    ranges = []
-    for cid in range(clusters.n_clusters):
-        idx = clusters.members(cid)
-        sizes.append(len(idx))
-        base = clusters.base_shifts[idx]
-        lo = int(np.max(-n_max - base))
-        hi = int(np.min(n_max - base))
-        ranges.append((lo, hi))
-
-    solutions: list[tuple[int, ...]] = []
-    picks: list[int] = []
-
-    def recurse(pos: int, need: int) -> None:
-        if pos == clusters.n_clusters:
-            if need == 0:
-                solutions.append(tuple(picks))
-            return
-        lo_rest = sum(r[0] * s for r, s in zip(ranges[pos + 1:], sizes[pos + 1:]))
-        hi_rest = sum(r[1] * s for r, s in zip(ranges[pos + 1:], sizes[pos + 1:]))
-        lo, hi = ranges[pos]
-        size = sizes[pos]
-        for c in range(lo, hi + 1):
-            rest = need - c * size
-            if lo_rest <= rest <= hi_rest:
-                picks.append(c)
-                recurse(pos + 1, rest)
-                picks.pop()
-
-    recurse(0, target)
-
-    branches = []
-    seen = set()
-    for sol in solutions:
-        shifts = clusters.base_shifts.copy()
-        for cid, c in enumerate(sol):
-            shifts[clusters.members(cid)] += c
-        key = tuple(shifts.tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        branches.append(_assemble_branch(clusters, shifts))
+    # every member's shift base + c must stay in [-n_max, n_max]; the picks c
+    # (one per cluster) must satisfy sum_c c * size_c = target
+    k = clusters.n_clusters
+    base = [clusters.base_shifts[clusters.members(c)] for c in range(k)]
+    sizes = np.array([len(b) for b in base])
+    lo = np.array([-n_max - b.min() for b in base])
+    hi = np.array([n_max - b.max() for b in base])
+    # all clusters but the last range over their windows; the trace
+    # condition fixes the last one, which must land in its own window
+    head = np.array(list(product(*map(range, lo[:-1], hi[:-1] + 1))), dtype=int)
+    head = head.reshape(len(head), k - 1)  # also when k == 1 or a window is empty
+    last, rem = np.divmod(target - head @ sizes[:-1], sizes[-1])
+    keep = (rem == 0) & (lo[-1] <= last) & (last <= hi[-1])
+    picks = np.column_stack([head[keep], last[keep]])
+    shifts = clusters.base_shifts + picks[:, clusters.cluster_of]
+    branches = [_assemble_branch(clusters, s) for s in shifts]
     branches.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
     return branches
 

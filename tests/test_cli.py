@@ -238,3 +238,119 @@ def test_exit_2_on_malformed_constraint_spec(capsys, spec, field):
     assert code == 2
     assert f"field '{field}'" in err
     assert "Traceback" not in err
+
+
+SCHATTEN2 = '{"kind": "schatten", "params": {"p": 2}}'
+ORTH_PI = "orthogonalizer:3.141592653589793:2"
+
+
+@pytest.fixture
+def traj3(tmp_path):
+    h = matrix_to_json(np.array([[0, 1], [1, 0]]) / np.sqrt(2))
+    path = tmp_path / "traj3.json"
+    path.write_text(dumps_canonical(
+        {"duration": 1.0, "samples": [{"t": t, "matrix": h} for t in (0.0, 0.5, 1.0)]}))
+    return str(path)
+
+
+# Per command: the table's leading lines (a label before " = ", or a whole
+# fixed header line), the CSV header and the JSON key set.
+CONTRACT = [
+    (("time", "--gate", ORTH_PI, "--constraint", SCHATTEN2),
+     ["T", "f(log O)", "kappa", "branch shifts", "branches considered"],
+     "time,f_value,kappa,n_max,branch_shifts,branches_considered",
+     {"command", "gate", "kappa", "n_max", "time", "f_value", "branch_shifts",
+      "branches_considered"}),
+    (("branches", "--gate", "identity:2"),
+     ["1 traceless logarithm branches (|n_k| <= 1)",
+      "branch     frobenius  shifts / shifted angles"],
+     "branch,shifts,frobenius,shifted_angles",
+     {"command", "gate", "n_max", "count", "branches"}),
+    (("conjmin", "--gate", ORTH_PI, "--constraint", SCHATTEN2, "--restarts", "2"),
+     ["T", "f min", "kappa", "converged", "iterations", "restarts"],
+     "time,f_value,kappa,restarts,seed,converged,iterations",
+     {"command", "gate", "kappa", "seed", "restarts", "time", "f_value", "converged",
+      "iterations", "conjugator"}),
+    (("action", "--constraint", SCHATTEN2, "--trajectory", "TRAJ"),
+     ["S", "duration", "samples"],
+     "action,duration,samples",
+     {"command", "trajectory", "samples", "duration", "action"}),
+    (("invariance", "--constraint", SCHATTEN2, "--dim", "2", "--samples", "20"),
+     ["Ad-invariant", "max deviation", "samples", "norm axioms (sampled)", "cell"],
+     "dim,ad_invariant,max_deviation,samples,is_norm,seed,threshold",
+     {"command", "dim", "ad_invariant", "max_deviation", "samples", "is_norm",
+      "table_cell", "seed", "threshold"}),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2),
+     ["passes", "normalized max residual", "threshold", "step", "branch shifts"],
+     "passes,normalized_max,threshold,step",
+     {"command", "gate", "passes", "normalized_max", "threshold", "step",
+      "branch_shifts", "residuals"}),
+    (("classify", "--constraint", SCHATTEN2, "--samples", "20"),
+     ["Ad-invariant: yes — Constant Hamiltonian optimal for all gates"],
+     "dim,ad_invariant,is_norm,classification",
+     {"command", "dim", "ad_invariant", "is_norm", "classification", "table_cell",
+      "max_deviation", "samples", "seed", "threshold"}),
+    (("reproduce",),
+     ["closed-form bound reproduction (kappa = 1, tolerance 1e-09, seed 0)",
+      "bound  p    N        computed      analytic   abs error  status"],
+     "bound,p,n,computed,analytic,abs_error,status",
+     {"command", "seed", "tolerance", "all_pass", "rows"}),
+]
+
+
+@pytest.mark.parametrize("argv,heads,csv_header,json_keys", CONTRACT,
+                         ids=[c[0][0] for c in CONTRACT])
+def test_output_contract(capsys, monkeypatch, traj3, argv, heads, csv_header, json_keys):
+    monkeypatch.delenv("QSL_SEED", raising=False)
+    argv = [traj3 if a == "TRAJ" else a for a in argv]
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = table.splitlines()
+    if argv[0] not in ("branches", "reproduce"):
+        assert len(lines) == len(heads)
+    for line, head in zip(lines, heads):
+        assert line == head or line.startswith(head + " = ")
+    _, csv_out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert csv_out.splitlines()[0] == csv_header
+    _, json_out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert set(json.loads(json_out)) == json_keys
+
+
+BAD_FLAGS = [
+    (("invariance", "--constraint", SCHATTEN2, "--seed", "-1"), None, "field 'seed'"),
+    (("reproduce", "--seed", "-1"), None, "field 'seed'"),
+    (("invariance", "--constraint", SCHATTEN2), "-1", "QSL_SEED"),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2, "--step", "0"), None,
+     "field 'step'"),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2, "--step", "nan"), None,
+     "field 'step'"),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2, "--threshold", "nan"), None,
+     "field 'threshold'"),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2, "--threshold", "-1"), None,
+     "field 'threshold'"),
+    (("geodesic", "--gate", "qft:3", "--constraint", SCHATTEN2, "--branch-sweep", "-1"), None,
+     "field 'branch_sweep'"),
+    (("time", "--gate", "qft:3", "--constraint", SCHATTEN2, "--tol", "bogus=1"), None,
+     "field 'tol.bogus'"),
+    (("invariance", "--constraint", SCHATTEN2, "--tol", "invariance=nan"), None,
+     "field 'tol.invariance'"),
+    (("time", "--gate", "qft:3", "--constraint", SCHATTEN2, "--n-max", "-1"), None,
+     "field 'n_max'"),
+    (("conjmin", "--gate", ORTH_PI, "--constraint", SCHATTEN2, "--restarts", "0"), None,
+     "field 'restarts'"),
+    (("invariance", "--constraint", SCHATTEN2, "--samples", "0"), None, "field 'samples'"),
+    (("classify", "--constraint", SCHATTEN2, "--dim", "1"), None, "field 'dim'"),
+]
+
+
+@pytest.mark.parametrize("argv,env,field", BAD_FLAGS, ids=[
+    f"QSL_SEED={env}" if env else " ".join((argv[0],) + argv[-2:]) for argv, env, _ in BAD_FLAGS])
+def test_exit_2_on_out_of_bounds_flag(capsys, monkeypatch, argv, env, field):
+    if env is None:
+        monkeypatch.delenv("QSL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSL_SEED", env)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err

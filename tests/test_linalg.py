@@ -23,7 +23,7 @@ from qslkit import (
     require_special_unitary,
     su_basis,
 )
-from qslkit.gates import orthogonalizer
+from qslkit.gates import orthogonalizer, qft
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -208,18 +208,34 @@ def test_branches_match_principal_log():
     assert np.max(np.abs(branches[0].value - principal.value)) < 1e-12
 
 
-@pytest.mark.parametrize("n,n_max,seed", [(2, 1, 0), (2, 3, 1), (3, 2, 2), (3, 3, 3)])
+# named gates with degenerate clusters: qft(6) has repeated eigenvalues, and
+# the 5x5 diagonal has a cluster that straddles the -1 cut (angles just
+# below +pi and just above -pi) whose window edge three other clusters can
+# balance
+NAMED_GATES = {
+    "qft6": lambda: qft(6),
+    "wrap5": lambda: np.diag(np.exp(1j * np.array(
+        [np.pi - 1e-12, -np.pi + 1e-12, 0.3, -0.5, 0.2]))),
+}
+
+
+@pytest.mark.parametrize("n,n_max,seed", [(2, 1, 0), (2, 3, 1), (3, 2, 2), (3, 3, 3),
+                                          ("qft6", 2, None), ("wrap5", 2, None)])
 def test_branch_count_matches_independent_enumeration(n, n_max, seed):
-    # independent oracle: integer vectors in the box with the right sum,
-    # winding computed from raw eigenvalues rather than the branch machinery
-    u = haar_su(n, seed=seed)
+    # independent oracle: integer vectors in the box whose shifted raw
+    # eigenangles sum to zero and stay equal on equal eigenvalues, computed
+    # from raw eigenvalues rather than the branch machinery
+    u = haar_su(n, seed=seed) if seed is not None else NAMED_GATES[n]()
     theta = np.angle(np.linalg.eigvals(u))
-    total = int(np.rint(theta.sum() / (2 * np.pi)))
-    expected = sum(
-        1 for vec in itertools.product(range(-n_max, n_max + 1), repeat=n)
-        if sum(vec) == -total)
+    box = itertools.product(range(-n_max, n_max + 1), repeat=len(theta))
+    phi = theta + 2 * np.pi * np.array(list(box))
+    keep = np.abs(phi.sum(axis=1)) < 1e-6
+    eigs = np.exp(1j * theta)
+    for j, k in itertools.combinations(range(len(theta)), 2):
+        if abs(eigs[j] - eigs[k]) <= 1e-8:
+            keep &= np.abs(phi[:, j] - phi[:, k]) < 1e-6
     branches = log_branches(u, n_max)
-    assert len(branches) == expected
+    assert len(branches) == int(keep.sum()) > 0
     for b in branches:
         assert np.max(np.abs(expm(b.value) - u)) < 1e-9
         assert abs(b.shifted_angles.sum()) < 1e-9
