@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -59,7 +60,9 @@ def _positive_finite(field):
     return _checked(float, field, "finite and > 0", lambda v: 0 < v < math.inf)
 
 
-def _parse_args(argv):
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qsl",
         description="Minimum gate times in SU(N) under positive-homogeneous "
@@ -121,7 +124,7 @@ def _parse_args(argv):
     p.add_argument("--samples", **samples)
 
     command("reproduce", _cmd_reproduce, "closed-form bound reproduction suite")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _resolve(args) -> None:
@@ -279,7 +282,8 @@ def _cmd_invariance(args):
 def _cmd_geodesic(args):
     rep = geometry.gate_geodesic_check(
         args.constraint, args.gate, step=args.step,
-        threshold=args.threshold or args.tol["geodesic"], branch_sweep=args.branch_sweep)
+        threshold=args.threshold or args.tol["geodesic"], branch_sweep=args.branch_sweep,
+        atol=args.tol["unitary"])
     return _one_row({
         "command": "geodesic",
         "gate": args.gate_spec,
@@ -338,7 +342,7 @@ def _cmd_reproduce(args):
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
         _resolve(args)
         report, table, rows, code = args.run(args)
         if args.output == "json":

@@ -28,9 +28,20 @@ GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
                          exponent halves it back.
 
 Each class carries its own facts; the ``Constraint`` base holds the defaults
-(no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False, and
-``kink_margin`` inf).  A custom constraint needs only ``value(a)``; subclass
-``Constraint`` to also serve ``geometry.kink_margin`` and its probe sampler.
+(no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
+``kink_margin`` inf, and ``spectral_values`` by assembling each point).  A
+custom constraint still needs only ``value(a)``; subclass ``Constraint`` to
+also serve ``geometry.kink_margin`` and its probe sampler.
+
+``spectral_values(phi, q)`` is an optional batched form: F at every
+X_b = q diag(1j*phi_b) q† for the rows phi_b of ``phi`` and one unitary q.
+The Hamiltonian 1j*X_b has eigenvalues -phi_b on the columns of q, so every
+atom reads its value off those rows (Lewis, "Derivatives of spectral
+functions", Math. Oper. Res. 1996): the Schatten norms and the spectral range
+from the angles alone, the state-anchored moments with the weights
+|q† psi|**2, and Randers through the linear map from phi to su coordinates.
+Branch search in ``gatetime.gate_time`` scores all logarithm branches of a gate
+this way, since they share one eigenbasis.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvariantViolationError
-from .linalg import basis_coords, random_algebra_element, require_algebra_element
+from .linalg import basis_coords, random_algebra_element, require_algebra_element, su_basis
 
 STATE_ATOL = 1e-12
 
@@ -104,6 +115,26 @@ class Constraint:
         """
         return inf
 
+    def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """F at every X_b = q diag(1j*phi_b) q†, one row phi_b of ``phi`` each.
+
+        This default assembles each point and calls ``value``.
+        """
+        return np.array([self.value((q * (1j * row)) @ q.conj().T) for row in phi], dtype=float)
+
+
+def spectral_values(func, phi, q) -> np.ndarray:
+    """``func.spectral_values(phi, q)``; a constraint that has only ``value``
+    gets the assembling default of the ``Constraint`` base."""
+    if hasattr(func, "spectral_values"):
+        return func.spectral_values(phi, q)
+    return Constraint.spectral_values(func, phi, q)
+
+
+def _state_weights(psi, q) -> np.ndarray:
+    """|q† psi|**2: the weight of psi on each eigenvector column of q."""
+    return np.abs(q.conj().T @ psi) ** 2
+
 
 # ---------------------------------------------------------------------------
 # Atoms
@@ -126,6 +157,12 @@ class Schatten(Constraint):
         if isinf(self.p):
             return float(np.max(sv))
         return float(np.sum(sv ** self.p) ** (1.0 / self.p))
+
+    def spectral_values(self, phi, q) -> np.ndarray:
+        sv = np.abs(phi)
+        if isinf(self.p):
+            return np.max(sv, axis=1)
+        return np.sum(sv ** self.p, axis=1) ** (1.0 / self.p)
 
     def kink_margin(self, a, w) -> float:
         if isinf(self.p):
@@ -152,6 +189,9 @@ class SpectralRange(Constraint):
     def value(self, a: np.ndarray) -> float:
         w = _hermitian_eigs(a)
         return float(w[-1] - w[0])
+
+    def spectral_values(self, phi, q) -> np.ndarray:
+        return np.max(phi, axis=1) - np.min(phi, axis=1)
 
     def kink_margin(self, a, w) -> float:
         # kinks where two eigenvalues collide
@@ -185,6 +225,11 @@ class GroundShiftedMoment(Constraint):
         assert moment > -1e-9, "ground-shifted moment must be non-negative"
         return max(moment, 0.0) ** (1.0 / self.p)
 
+    def spectral_values(self, phi, q) -> np.ndarray:
+        w = -phi
+        moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
+        return np.maximum(moment, 0.0) ** (1.0 / self.p)
+
     kink_margin = SpectralRange.kink_margin  # the ground eigenvector jumps at collisions
 
 
@@ -213,6 +258,11 @@ class EnergyUncertainty(Constraint):
 
     def value(self, a: np.ndarray) -> float:
         return _mean_and_uncertainty(a, self.psi)[1]
+
+    def spectral_values(self, phi, q) -> np.ndarray:
+        weights = _state_weights(self.psi, q)
+        mean = phi @ weights  # of -H; the sign drops out of the variance
+        return np.sqrt(np.maximum(phi ** 2 @ weights - mean * mean, 0.0))
 
     def kink_margin(self, a, w) -> float:
         # the square root kinks where the variance vanishes
@@ -264,6 +314,13 @@ class Randers(Constraint):
         coords = basis_coords(a)
         return float(np.sqrt(coords @ self.metric @ coords) + self.oneform @ coords)
 
+    def spectral_values(self, phi, q) -> np.ndarray:
+        # coords(X_b) = phi_b @ c with c[k, j] = Im((q† T_j q)_kk), since
+        # coords_j(X) = -Re tr(T_j X); the metric folds into the n x n Gram c M c^T
+        c = np.sum(q.conj() * (su_basis(q.shape[0]) @ q), axis=1).imag.T
+        gram = c @ self.metric @ c.T
+        return np.sqrt(np.sum((phi @ gram) * phi, axis=1)) + phi @ (c @ self.oneform)
+
     def kink_margin(self, a, w) -> float:
         # smooth everywhere except at the origin
         return float(np.linalg.norm(a))
@@ -290,7 +347,10 @@ class _Combinator(Constraint):
         return next((c.dim for c in self.children if c.dim is not None), None)
 
     def value(self, a) -> float:
-        return self.combine(self.children[0].value(a), self.children[1].value(a))
+        return float(self.combine(self.children[0].value(a), self.children[1].value(a)))
+
+    def spectral_values(self, phi, q) -> np.ndarray:
+        return self.combine(*(spectral_values(c, phi, q) for c in self.children))
 
     def kink_margin(self, a, w) -> float:
         return min(c.kink_margin(a, w) for c in self.children)
@@ -328,7 +388,7 @@ class Max(_Extremum):
     kind = "max"
 
     def combine(self, v1, v2):
-        return max(v1, v2)
+        return np.where(v2 > v1, v2, v1)  # ties keep v1, as the builtin max
 
 
 @dataclass(frozen=True)
@@ -337,7 +397,7 @@ class Min(_Extremum):
     kind = "min"
 
     def combine(self, v1, v2):
-        return min(v1, v2)
+        return np.where(v2 < v1, v2, v1)  # ties keep v1, as the builtin min
 
 
 @dataclass(frozen=True)
@@ -349,7 +409,7 @@ class PowerMean(_Mean):
     kind = "powmean"
 
     def combine(self, v1, v2):
-        return float((v1 ** self.p + v2 ** self.p) ** (1.0 / self.p))
+        return (v1 ** self.p + v2 ** self.p) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -361,7 +421,7 @@ class GeometricMean(_Mean):
     kind = "geomean"
 
     def combine(self, v1, v2):
-        return float((v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p)))
+        return (v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p))
 
 
 ATOM_KINDS = ("schatten", "op_shifted", "ml", "mt", "randers")

@@ -6,10 +6,18 @@ minimum over constant drives is the minimum of that expression over all
 traceless logarithm branches; for constraints that are monotone in the
 eigenangle moduli (every unitarily invariant norm) the principal branch is
 already optimal.
+
+Every branch shares the gate's eigenbasis Q and differs only in its shifted
+angles phi_b, so the branch search never builds a matrix to score a branch:
+one batched ``spectral_values`` call evaluates F on all rows phi_b at once.
+Only the rows within NEAR_TIE of that minimum are assembled and re-evaluated
+with ``value``, which gives the same winner, bit for bit, as evaluating every
+assembled branch.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from math import inf, isinf, pi
 from typing import Optional
@@ -17,8 +25,9 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .constraints import evaluate, require_dim
+from .constraints import evaluate, require_dim, spectral_values
 from .errors import (
+    DegenerateBranchTieError,
     InvalidParameterError,
     InvariantViolationError,
     OptimizerDidNotConvergeError,
@@ -26,15 +35,16 @@ from .errors import (
     TooFewSamplesError,
 )
 from .linalg import (
+    TWO_PI,
     LogBranch,
     basis_coords,
     expm,
     from_coords,
     haar_su,
-    log_branches,
     principal_log,
     require_special_unitary,
     _as_rng,
+    _eigen_clusters,
 )
 
 # Derivative-free search defaults: simplex diameter convergence and a hard
@@ -43,6 +53,10 @@ from .linalg import (
 SIMPLEX_TOL = 1e-9
 SIMPLEX_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
+
+# Branches whose batched spectral value is within NEAR_TIE * (1 + |min|) of the
+# minimum are confirmed with ``value``; the two forms agree to about 1e-14.
+NEAR_TIE = 1e-9
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -83,39 +97,50 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     constraint level set F = kappa, minimized over logarithm branches with
     winding |n_k| <= n_max.
 
+    The search is spectral: one eigendecomposition of the gate gives every
+    branch's shifted angles, and one ``spectral_values`` call scores them all.
+    The near-ties of that score (within NEAR_TIE) are assembled, evaluated with
+    ``value``, sorted as ``log_branches`` sorts them, and the first minimum
+    wins, so the result is the one a full sweep over ``log_branches`` gives.
+
     For constraints marked ``unitarily_invariant`` (Schatten and spectral
     range) the principal branch is provably optimal; that is asserted
-    whenever the principal branch is in the searched set.
+    whenever the principal branch exists and is in the searched set.
     """
     kappa = _require_kappa(kappa)
-    gate = require_special_unitary(gate, atol=atol)
-    require_dim(func, gate.shape[0])
-    branches = log_branches(gate, n_max, atol=atol)
-    if not branches:
-        # forces the informative degenerate-cluster error when applicable
-        principal_log(gate, atol=atol)
+    clusters = _eigen_clusters(gate, atol=atol)
+    require_dim(func, len(clusters.angles))
+    shifts = clusters.branch_shifts(n_max)
+    if not len(shifts):
+        clusters.principal_shifts()  # the informative degenerate-cluster error, when it applies
         raise InvalidParameterError(
             f"no traceless logarithm branch with winding <= {n_max}; raise n_max")
-    values = [evaluate(func, b.value, validate=False) for b in branches]
+    scores = spectral_values(func, clusters.angles + TWO_PI * shifts,
+                             clusters.decomposition.eigenvectors)
+    low = np.min(scores)
+    # NaN scores compare False, so they are confirmed too
+    near = [clusters.assemble(s) for s in shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))]]
+    near.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
+    values = [evaluate(func, b.value, validate=False) for b in near]
     best = int(np.argmin(values))
-    if getattr(func, "unitarily_invariant", False):
-        principal = principal_log(gate, atol=atol)
-        key = tuple(principal.shifts.tolist())
-        for b, v in zip(branches, values):
-            if tuple(b.shifts.tolist()) == key:
-                if not np.isclose(values[best], v, rtol=1e-12, atol=1e-12):
-                    raise QslError(
-                        "internal consistency failure: principal branch is not "
-                        "minimal for a unitarily invariant constraint")
-                break
     f_value = float(values[best])
+    principal = None
+    if getattr(func, "unitarily_invariant", False):
+        with contextlib.suppress(DegenerateBranchTieError):  # else no principal branch exists
+            principal = clusters.principal_shifts()
+    if principal is not None:
+        row = (shifts == principal).all(axis=1)
+        if row.any() and not np.isclose(f_value, scores[row][0], rtol=1e-12, atol=1e-12):
+            raise QslError(
+                "internal consistency failure: principal branch is not "
+                "minimal for a unitarily invariant constraint")
     return SpeedLimitResult(
         time=f_value / kappa,
-        branch=branches[best],
+        branch=near[best],
         conjugator=None,
         f_value=f_value,
         kappa=kappa,
-        diagnostics=Diagnostics(branches_considered=len(branches),
+        diagnostics=Diagnostics(branches_considered=len(shifts),
                                 optimizer_iterations=None, converged=True),
     )
 

@@ -27,6 +27,7 @@ from .errors import (
     StepUnderflowError,
 )
 from .linalg import (
+    UNITARY_ATOL,
     _as_rng,
     commutator,
     haar_su,
@@ -221,21 +222,23 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
 
 def gate_geodesic_check(func, gate, step: float = FD_STEP,
                         threshold: float = GEODESIC_THRESHOLD,
-                        branch_sweep: int = 0) -> GeodesicReport:
+                        branch_sweep: int = 0, atol: float = UNITARY_ATOL) -> GeodesicReport:
     """Geodesic check at the logarithm of a gate.
 
     A passing report means the gate admits a time-optimal constant drive
     under this constraint, so no pulse-shaping search is needed for it.  By
     default only the principal logarithm is probed; ``branch_sweep`` > 0
     checks every branch with winding up to that bound and reports the first
-    best, and raises if that bound admits no branch.
+    best, and raises if that bound admits no branch.  ``atol`` bounds the
+    gate's unitarity and determinant defects, as in ``gatetime.gate_time``.
     """
-    gate = require_special_unitary(gate)
+    gate = require_special_unitary(gate, atol=atol)
     if is_identity(gate):
         raise IdentityGateError("geodesic check is undefined for the identity gate")
-    branches = log_branches(gate, branch_sweep) if branch_sweep > 0 else [principal_log(gate)]
+    branches = (log_branches(gate, branch_sweep, atol=atol) if branch_sweep > 0
+                else [principal_log(gate, atol=atol)])
     if not branches:
-        principal_log(gate)  # the informative degenerate-cluster error, when it applies
+        principal_log(gate, atol=atol)  # the informative degenerate-cluster error, when it applies
         raise InvalidParameterError(
             f"no traceless logarithm branch with winding <= {branch_sweep}; raise branch_sweep")
     best = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 import numpy as np
 import scipy.linalg
@@ -184,6 +184,75 @@ class _EigenClusters:
     def members(self, cid: int) -> np.ndarray:
         return np.flatnonzero(self.cluster_of == cid)
 
+    def assemble(self, shifts: np.ndarray) -> LogBranch:
+        """The branch with these winding shifts: Q diag(1j*phi) Q†."""
+        phi = self.angles + TWO_PI * shifts
+        q = self.decomposition.eigenvectors
+        value = (q * (1j * phi)) @ q.conj().T
+        return LogBranch(angles=self.angles.copy(), shifts=shifts, value=value)
+
+    def principal_shifts(self) -> np.ndarray:
+        """Shifts of the principal branch (the rule is in ``principal_log``).
+
+        Raises DegenerateBranchTieError, carrying the candidate branches,
+        when the traceless correction would split a degenerate cluster.
+        """
+        m = self.winding
+        shifts = self.base_shifts.copy()
+        if m == 0:
+            return shifts
+        sign = 1 if m > 0 else -1
+        # clusters ordered by closeness to the relevant endpoint (+pi or -pi)
+        reps = [(cid, self.effective_angles[self.members(cid)][0])
+                for cid in range(self.n_clusters)]
+        reps.sort(key=lambda item: -sign * item[1])
+        remaining = abs(m)
+        for cid, _rep in reps:
+            if remaining == 0:
+                break
+            idx = self.members(cid)
+            if len(idx) > remaining:
+                candidates = []
+                for chosen in _index_choices(idx, remaining):
+                    alt = shifts.copy()
+                    alt[list(chosen)] -= sign
+                    candidates.append(self.assemble(alt))
+                raise DegenerateBranchTieError(
+                    "traceless correction would split a degenerate eigenvalue "
+                    f"cluster of multiplicity {len(idx)} (need {remaining}); "
+                    "no basis-independent principal logarithm exists",
+                    candidates=candidates,
+                )
+            shifts[idx] -= sign
+            remaining -= len(idx)
+        if remaining != 0:
+            raise InvariantViolationError(
+                f"could not absorb winding {m} into eigenangle corrections")
+        return shifts
+
+    def branch_shifts(self, n_max: int) -> np.ndarray:
+        """Shift rows of every traceless branch with |n_k| <= n_max.
+
+        Every member's shift base + c must stay in [-n_max, n_max]; the picks
+        c (one per cluster) must satisfy sum_c c * size_c = -winding.  All
+        clusters but the last range over their windows, in lexicographic
+        order; the trace condition fixes the last one, which must land in its
+        own window.  Also right for one cluster and for empty windows.
+        """
+        if n_max < 0:
+            raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
+        k = self.n_clusters
+        base = [self.base_shifts[self.members(c)] for c in range(k)]
+        sizes = np.array([len(b) for b in base])
+        lo = np.array([-n_max - b.min() for b in base])
+        hi = np.array([n_max - b.max() for b in base])
+        widths = hi[:-1] - lo[:-1] + 1
+        head = np.indices(widths).reshape(k - 1, int(np.prod(widths))).T + lo[:-1]
+        last, rem = np.divmod(-self.winding - head @ sizes[:-1], sizes[-1])
+        keep = (rem == 0) & (lo[-1] <= last) & (last <= hi[-1])
+        picks = np.column_stack([head[keep], last[keep]])
+        return self.base_shifts + picks[:, self.cluster_of]
+
 
 def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _EigenClusters:
     """Group (near-)equal eigenvalues of a unitary into angle clusters.
@@ -227,12 +296,11 @@ def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _Ei
     )
 
 
-def _assemble_branch(clusters: _EigenClusters, shifts: np.ndarray) -> LogBranch:
-    dec = clusters.decomposition
-    phi = clusters.angles + TWO_PI * shifts
-    q = dec.eigenvectors
-    value = (q * (1j * phi)) @ q.conj().T
-    return LogBranch(angles=clusters.angles.copy(), shifts=shifts, value=value)
+def _eigen_clusters(u, atol: float = UNITARY_ATOL,
+                    cluster_atol: float = CLUSTER_ATOL) -> _EigenClusters:
+    """Validate a special unitary and cluster its eigenangles."""
+    u = require_special_unitary(u, atol=atol)
+    return _cluster_eigenangles(eig_normal(u), cluster_atol)
 
 
 def principal_log(u, atol: float = UNITARY_ATOL,
@@ -246,39 +314,8 @@ def principal_log(u, atol: float = UNITARY_ATOL,
     would split a degenerate cluster, the choice is basis-dependent and
     DegenerateBranchTieError is raised carrying every candidate branch.
     """
-    u = require_special_unitary(u, atol=atol)
-    clusters = _cluster_eigenangles(eig_normal(u), cluster_atol)
-    m = clusters.winding
-    shifts = clusters.base_shifts.copy()
-    if m != 0:
-        sign = 1 if m > 0 else -1
-        # clusters ordered by closeness to the relevant endpoint (+pi or -pi)
-        reps = [(cid, clusters.effective_angles[clusters.members(cid)][0])
-                for cid in range(clusters.n_clusters)]
-        reps.sort(key=lambda item: -sign * item[1])
-        remaining = abs(m)
-        for cid, _rep in reps:
-            if remaining == 0:
-                break
-            idx = clusters.members(cid)
-            if len(idx) > remaining:
-                candidates = []
-                for chosen in _index_choices(idx, remaining):
-                    alt = shifts.copy()
-                    alt[list(chosen)] -= sign
-                    candidates.append(_assemble_branch(clusters, alt))
-                raise DegenerateBranchTieError(
-                    "traceless correction would split a degenerate eigenvalue "
-                    f"cluster of multiplicity {len(idx)} (need {remaining}); "
-                    "no basis-independent principal logarithm exists",
-                    candidates=candidates,
-                )
-            shifts[idx] -= sign
-            remaining -= len(idx)
-        if remaining != 0:
-            raise InvariantViolationError(
-                f"could not absorb winding {m} into eigenangle corrections")
-    return _assemble_branch(clusters, shifts)
+    clusters = _eigen_clusters(u, atol, cluster_atol)
+    return clusters.assemble(clusters.principal_shifts())
 
 
 def _index_choices(indices, r, cap: int = 16):
@@ -296,28 +333,8 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
     constraint that the shifted angles sum to zero.  The list is sorted by
     Frobenius norm of the branch value, ties broken by the shift vector.
     """
-    if n_max < 0:
-        raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    u = require_special_unitary(u, atol=atol)
-    clusters = _cluster_eigenangles(eig_normal(u), cluster_atol)
-    target = -clusters.winding
-
-    # every member's shift base + c must stay in [-n_max, n_max]; the picks c
-    # (one per cluster) must satisfy sum_c c * size_c = target
-    k = clusters.n_clusters
-    base = [clusters.base_shifts[clusters.members(c)] for c in range(k)]
-    sizes = np.array([len(b) for b in base])
-    lo = np.array([-n_max - b.min() for b in base])
-    hi = np.array([n_max - b.max() for b in base])
-    # all clusters but the last range over their windows; the trace
-    # condition fixes the last one, which must land in its own window
-    head = np.array(list(product(*map(range, lo[:-1], hi[:-1] + 1))), dtype=int)
-    head = head.reshape(len(head), k - 1)  # also when k == 1 or a window is empty
-    last, rem = np.divmod(target - head @ sizes[:-1], sizes[-1])
-    keep = (rem == 0) & (lo[-1] <= last) & (last <= hi[-1])
-    picks = np.column_stack([head[keep], last[keep]])
-    shifts = clusters.base_shifts + picks[:, clusters.cluster_of]
-    branches = [_assemble_branch(clusters, s) for s in shifts]
+    clusters = _eigen_clusters(u, atol, cluster_atol)
+    branches = [clusters.assemble(s) for s in clusters.branch_shifts(n_max)]
     branches.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
     return branches
 

@@ -8,6 +8,7 @@ import pytest
 from qslkit.cli import main
 from qslkit.jsonio import dumps_canonical, matrix_to_json, save_matrix
 from qslkit import haar_su
+from qslkit.gates import orthogonalizer
 
 
 @pytest.fixture
@@ -158,6 +159,20 @@ def test_exit_4_on_non_unitary_gate_file(capsys, tmp_path, schatten2):
                            "--constraint", schatten2)
     assert code == 4
     assert "unitary" in err
+
+
+@pytest.mark.parametrize("command", ["time", "geodesic"])
+def test_unitary_tolerance_flag_admits_near_unitary_gate_file(capsys, tmp_path, schatten2,
+                                                               command):
+    # U†U - I is 1e-8 on the diagonal: refused at the default 1e-10,
+    # accepted by every command under --tol unitary=1e-6
+    path = tmp_path / "gate.json"
+    save_matrix(str(path), (1 + 5e-9) * orthogonalizer(np.pi / 3, 2))
+    argv = (command, "--gate", f"file:{path}", "--constraint", schatten2)
+    assert run_cli(capsys, *argv)[0] == 4
+    code, out, err = run_cli(capsys, *argv, "--tol", "unitary=1e-6")
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_exit_2_on_nonpositive_kappa(capsys, schatten2):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qslkit import (
     DimensionMismatchError,
@@ -28,6 +31,7 @@ from qslkit import (
     haar_su,
     random_algebra_element,
 )
+from qslkit.constraints import spectral_values
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 A_HALF_PI_X = -1j * (np.pi / 2) * SX  # Hamiltonian (pi/2) * sigma_x
@@ -265,3 +269,43 @@ def test_evaluate_rejects_non_finite_element(entry):
 def test_state_validation_rejects_non_finite(psi):
     with pytest.raises(InvariantViolationError):
         EnergyUncertainty(psi=np.array(psi, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# batched spectral form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def spectral_points(draw):
+    """Traceless angle rows phi of order 1 and a Haar eigenbasis q.
+
+    Each drawn row is scaled to max |phi| = 1 before it is centred: F is
+    positively homogeneous, so scale is no loss, and it keeps powers of F
+    clear of underflow.
+    """
+    n = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 4))
+    phi = draw(arrays(np.float64, (rows, n), elements=st.floats(-10.0, 10.0)))
+    top = np.max(np.abs(phi), axis=1, keepdims=True)
+    phi = np.divide(phi, top, out=np.zeros_like(phi), where=top > 0)
+    return phi - phi.mean(axis=1, keepdims=True), haar_su(n, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_points())
+def test_spectral_values_match_value_on_assembled_points(point):
+    # F at q diag(1j*phi_b) q† from the angle rows equals value() on the
+    # assembled matrix.  Where F takes a root that amplifies roundoff near
+    # zero it is compared on a power: F**p (ml), F**2 (mt, and geomean, the
+    # square root of a product); the bound is relative to F plus the scale
+    # of phi (order 1), since F may vanish
+    phi, q = point
+    n = q.shape[1]
+    for func in catalog(n) + [SpectrumNorm()]:
+        kind = getattr(func, "kind", "")
+        power = {"ml": getattr(func, "p", 1.0), "mt": 2.0, "geomean": 2.0}.get(kind, 1.0)
+        got = spectral_values(func, phi, q)
+        assert got.shape == (len(phi),)
+        for row, value in zip(phi, got):
+            want = func.value((q * (1j * row)) @ q.conj().T)
+            assert abs(value ** power - want ** power) <= 1e-12 * (want ** power + 1.0)

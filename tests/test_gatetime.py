@@ -25,12 +25,14 @@ from qslkit import (
     evaluate,
     gate_time,
     haar_su,
+    log_branches,
     principal_log,
     random_algebra_element,
 )
 from qslkit.gates import orthogonalizer, qft
 
 from grid_oracle import RANDERS_METRIC_DIAG, randers_grid_min
+from test_constraints import catalog
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +149,71 @@ def test_gate_time_rejects_non_finite_kappa(kappa):
 
 
 def test_gate_time_invariance_self_check_on_qft6():
-    # the principal log of qft:6 would split a degenerate cluster; only the
-    # invariant atoms run the principal-branch self-check, so only they raise
+    # the principal log of qft:6 would split a degenerate cluster, so there is
+    # no principal branch to check and the searched minimum stands; it matches
+    # the brute force over shift vectors in bench/oracles.py
     with pytest.raises(DegenerateBranchTieError):
-        gate_time(Schatten(p=2), 1, qft(6), n_max=2)
+        principal_log(qft(6))
+    res = gate_time(Schatten(p=2), 1, qft(6), n_max=2)
+    assert abs(res.f_value - 6.664324407237548) < 1e-10
+    assert res.diagnostics.branches_considered == 50
     tree = Max(children=(Schatten(p=2), SpectralRange()))
     assert gate_time(tree, 1, qft(6), n_max=2).time == 7.853981633974479
+
+
+# the gates of the spectral-search parity test: generic spectra, degenerate
+# clusters (qft, orthogonalizers, identity) and their ties under ml and mt
+PARITY_GATES = {
+    **{f"haar{n}": (lambda n=n: haar_su(n, seed=300 + n)) for n in (2, 3, 4, 5)},
+    **{f"qft{n}": (lambda n=n: qft(n)) for n in (2, 3, 4, 5, 6)},
+    **{f"orth_pi_{n}": (lambda n=n: orthogonalizer(np.pi, n)) for n in (2, 3, 4)},
+    **{f"orth_pi3_{n}": (lambda n=n: orthogonalizer(np.pi / 3, n)) for n in (2, 3, 4)},
+    "identity3": lambda: np.eye(3, dtype=complex),
+}
+
+
+def sweep_gate_time(func, gate, n_max):
+    """Reference search: assemble every branch and take the first argmin of
+    ``evaluate`` in ``log_branches`` order."""
+    branches = log_branches(gate, n_max)
+    values = [evaluate(func, b.value, validate=False) for b in branches]
+    best = int(np.argmin(values))
+    return values[best], branches[best], len(branches)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GATES))
+def test_gate_time_matches_full_branch_sweep(name):
+    gate = PARITY_GATES[name]()
+    for n_max in (0, 1, 2):
+        if not log_branches(gate, n_max):
+            continue
+        for func in catalog(gate.shape[0]):
+            res = gate_time(func, 1.0, gate, n_max=n_max)
+            f_value, branch, count = sweep_gate_time(func, gate, n_max)
+            where = f"{func.kind} n_max={n_max}"
+            assert res.time == f_value, where
+            assert res.branch.shifts.tolist() == branch.shifts.tolist(), where
+            assert res.branch.value.tobytes() == branch.value.tobytes(), where
+            assert res.diagnostics.branches_considered == count, where
+
+
+class CountingSchatten(Schatten):
+    """Schatten norm that counts its ``value`` calls."""
+
+    calls = []
+
+    def value(self, a):
+        CountingSchatten.calls.append(1)
+        return super().value(a)
+
+
+def test_gate_time_assembles_only_near_winners():
+    # the batched spectral score ranks all 381 branches; only its near-ties
+    # are assembled and evaluated
+    CountingSchatten.calls.clear()
+    res = gate_time(CountingSchatten(p=2), 1.0, haar_su(5, seed=3), n_max=2)
+    assert res.diagnostics.branches_considered == 381
+    assert len(CountingSchatten.calls) <= 4
 
 
 # ---------------------------------------------------------------------------

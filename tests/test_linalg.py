@@ -24,6 +24,7 @@ from qslkit import (
     su_basis,
 )
 from qslkit.gates import orthogonalizer, qft
+from qslkit.linalg import _eigen_clusters
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -239,6 +240,38 @@ def test_branch_count_matches_independent_enumeration(n, n_max, seed):
     for b in branches:
         assert np.max(np.abs(expm(b.value) - u)) < 1e-9
         assert abs(b.shifted_angles.sum()) < 1e-9
+
+
+def lattice_reference(clusters, n_max):
+    """Shift rows from itertools.product over every cluster's window."""
+    k = clusters.n_clusters
+    base = [clusters.base_shifts[clusters.members(c)] for c in range(k)]
+    windows = [range(-n_max - b.min(), n_max - b.max() + 1) for b in base]
+    sizes = [len(b) for b in base]
+    rows = [clusters.base_shifts + np.array(picks)[clusters.cluster_of]
+            for picks in itertools.product(*windows)
+            if sum(c * size for c, size in zip(picks, sizes)) == -clusters.winding]
+    return np.array(rows, dtype=int).reshape(len(rows), len(clusters.angles))
+
+
+@pytest.mark.parametrize("gate,n_max", [
+    ("identity", 0), ("identity", 1), ("identity", 2),
+    ("wrap5", 0), ("wrap5", 1), ("qft6", 2), ("haar4", 2), ("minus_identity", 2)])
+def test_branch_shift_lattice_matches_product(gate, n_max):
+    # one cluster (the identity), an empty window (the wrapped cluster of
+    # wrap5 at n_max = 0), degenerate clusters and a generic gate
+    u = {"identity": lambda: np.eye(3, dtype=complex),
+         "minus_identity": lambda: -np.eye(2, dtype=complex),
+         "haar4": lambda: haar_su(4, seed=8), **NAMED_GATES}[gate]()
+    clusters = _eigen_clusters(u)
+    got = clusters.branch_shifts(n_max)
+    want = lattice_reference(clusters, n_max)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)  # same rows in the same order
+    if gate == "identity":
+        assert clusters.n_clusters == 1 and got.tolist() == [[0, 0, 0]]
+    if gate == "wrap5" and n_max == 0:
+        assert got.shape == (0, 5) and log_branches(u, 0) == []
 
 
 def test_branches_empty_for_minus_identity():
