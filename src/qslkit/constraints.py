@@ -31,7 +31,8 @@ Each class carries its own facts; the ``Constraint`` base holds the defaults
 (no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
 ``kink_margin`` inf, and ``spectral_values`` by assembling each point).  A
 custom constraint still needs only ``value(a)``; subclass ``Constraint`` to
-also serve ``geometry.kink_margin`` and its probe sampler.
+also serve ``geometry.kink_margin`` and its probe sampler.  ``KINDS`` maps
+each ``kind`` to its class, whose dataclass fields are its ``jsonio`` format.
 
 ``spectral_values(phi, q)`` is an optional batched form: F at every
 X_b = q diag(1j*phi_b) q† for the rows phi_b of ``phi`` and one unitary q.
@@ -98,8 +99,9 @@ class Constraint:
 
     ``children`` are the constraints a combinator is built from; ``dim`` is
     the dimension N the constraint is tied to, or None for any N;
-    ``unitarily_invariant`` marks atoms of the spectrum alone, for which
-    gate_time asserts that the principal logarithm branch is minimal.
+    ``unitarily_invariant`` marks functions of the spectrum (Schatten, the
+    spectral range, and combinators of them) for which gate_time asserts that
+    the principal logarithm branch is minimal.
     """
 
     kind: str
@@ -198,8 +200,19 @@ class SpectralRange(Constraint):
         return float(np.min(np.diff(w)))
 
 
+class _StateAnchored(Constraint):
+    """An atom anchored at a reference state ``psi``, which fixes its dimension."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", require_state(self.psi))
+
+    @property
+    def dim(self) -> Optional[int]:
+        return len(self.psi)
+
+
 @dataclass(frozen=True, eq=False)
-class GroundShiftedMoment(Constraint):
+class GroundShiftedMoment(_StateAnchored):
     """p-th root of the p-th moment of H - E_min in a reference state.
 
     The shifted operator is positive semidefinite, so non-integer exponents
@@ -212,11 +225,7 @@ class GroundShiftedMoment(Constraint):
 
     def __post_init__(self):
         _require_exponent(self.p, "moment")
-        object.__setattr__(self, "psi", require_state(self.psi))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return len(self.psi)
+        super().__post_init__()
 
     def value(self, a: np.ndarray) -> float:
         w, v = np.linalg.eigh(1j * a)
@@ -243,18 +252,11 @@ def _mean_and_uncertainty(a: np.ndarray, psi: np.ndarray) -> tuple[float, float]
 
 
 @dataclass(frozen=True, eq=False)
-class EnergyUncertainty(Constraint):
+class EnergyUncertainty(_StateAnchored):
     """Standard deviation of the Hamiltonian in a reference state."""
 
     psi: np.ndarray
     kind = "mt"
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", require_state(self.psi))
-
-    @property
-    def dim(self) -> Optional[int]:
-        return len(self.psi)
 
     def value(self, a: np.ndarray) -> float:
         return _mean_and_uncertainty(a, self.psi)[1]
@@ -299,12 +301,11 @@ class Randers(Constraint):
         if drift >= 1.0:
             raise InvalidParameterError(
                 f"oneform too large for positivity: oneform.M^-1.oneform = {drift:.6g} >= 1")
-        n = int(round(np.sqrt(metric.shape[0] + 1)))
-        if n * n - 1 != metric.shape[0]:
-            raise DimensionMismatchError(
-                f"metric size {metric.shape[0]} is not n**2 - 1 for any integer n")
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "oneform", oneform)
+        if self.dim ** 2 - 1 != metric.shape[0]:
+            raise DimensionMismatchError(
+                f"metric size {metric.shape[0]} is not n**2 - 1 for any integer n")
 
     @property
     def dim(self) -> Optional[int]:
@@ -345,6 +346,12 @@ class _Combinator(Constraint):
     @property
     def dim(self) -> Optional[int]:
         return next((c.dim for c in self.children if c.dim is not None), None)
+
+    @property
+    def unitarily_invariant(self) -> bool:
+        # every combine is nondecreasing in both arguments, so a branch that
+        # is minimal for both children is minimal for the combination
+        return all(getattr(c, "unitarily_invariant", False) for c in self.children)
 
     def value(self, a) -> float:
         return float(self.combine(self.children[0].value(a), self.children[1].value(a)))
@@ -424,8 +431,9 @@ class GeometricMean(_Mean):
         return (v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p))
 
 
-ATOM_KINDS = ("schatten", "op_shifted", "ml", "mt", "randers")
-COMBINATOR_KINDS = ("sum", "powmean", "geomean", "max", "min")
+KINDS = {cls.kind: cls for cls in (Schatten, SpectralRange, GroundShiftedMoment,
+                                    EnergyUncertainty, Randers, Sum, Max, Min,
+                                    PowerMean, GeometricMean)}
 
 
 # ---------------------------------------------------------------------------

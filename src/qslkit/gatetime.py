@@ -23,7 +23,6 @@ from math import inf, isinf, pi
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .constraints import evaluate, require_dim, spectral_values
 from .errors import (
@@ -36,13 +35,13 @@ from .errors import (
 )
 from .linalg import (
     TWO_PI,
+    UNITARY_ATOL,
     LogBranch,
     basis_coords,
     expm,
     from_coords,
     haar_su,
     principal_log,
-    require_special_unitary,
     _as_rng,
     _eigen_clusters,
 )
@@ -92,7 +91,7 @@ def _require_kappa(kappa: float) -> float:
 
 
 def gate_time(func, kappa: float, gate, n_max: int = 0,
-              atol: float = 1e-10) -> SpeedLimitResult:
+              atol: float = UNITARY_ATOL) -> SpeedLimitResult:
     """Minimum time to reach ``gate`` with a constant Hamiltonian on the
     constraint level set F = kappa, minimized over logarithm branches with
     winding |n_k| <= n_max.
@@ -103,9 +102,9 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     ``value``, sorted as ``log_branches`` sorts them, and the first minimum
     wins, so the result is the one a full sweep over ``log_branches`` gives.
 
-    For constraints marked ``unitarily_invariant`` (Schatten and spectral
-    range) the principal branch is provably optimal; that is asserted
-    whenever the principal branch exists and is in the searched set.
+    For ``unitarily_invariant`` constraints (Schatten, the spectral range and
+    their combinators) the principal branch is provably optimal; that is
+    asserted whenever the principal branch exists and is in the searched set.
     """
     kappa = _require_kappa(kappa)
     clusters = _eigen_clusters(gate, atol=atol)
@@ -146,7 +145,7 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
 
 
 def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
-                  seed: int = 0, atol: float = 1e-10) -> SpeedLimitResult:
+                  seed: int = 0, atol: float = UNITARY_ATOL) -> SpeedLimitResult:
     """Minimize F(V X V†)/kappa over conjugators V in SU(n), X = log(gate).
 
     Conjugation commutes with the principal logarithm, so the search runs on
@@ -158,39 +157,31 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     kappa = _require_kappa(kappa)
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
-    gate = require_special_unitary(gate, atol=atol)
-    require_dim(func, gate.shape[0])
-    branch = principal_log(gate, atol=atol)
+    import scipy.optimize  # deferred: it is most of the package's import time
+
+    clusters = _eigen_clusters(gate, atol=atol)
+    n = len(clusters.angles)
+    require_dim(func, n)
+    branch = clusters.assemble(clusters.principal_shifts())
     x = branch.value
-    n = gate.shape[0]
-    dim = n * n - 1
     rng = _as_rng(seed)
 
     def objective(coords: np.ndarray) -> float:
         v = expm(from_coords(coords, n))
         return evaluate(func, v @ x @ v.conj().T, validate=False)
 
-    starts = [np.zeros(dim)]
-    for _ in range(restarts - 1):
-        starts.append(basis_coords(principal_log(haar_su(n, rng)).value))
+    starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
+                                      for _ in range(restarts - 1)]
 
-    best_coords = None
-    best_value = inf
-    best_nit = None
-    any_converged = False
-    for start in starts:
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
-                     "maxiter": SIMPLEX_MAXITER, "maxfev": 2 * SIMPLEX_MAXITER})
-        any_converged = any_converged or bool(res.success)
-        candidate = (float(res.fun), tuple(res.x.tolist()))
-        if candidate < (best_value, tuple(best_coords.tolist()) if best_coords is not None else ()):
-            best_value = float(res.fun)
-            best_coords = np.asarray(res.x)
-            best_nit = int(res.nit)
-
-    conjugator = expm(from_coords(best_coords, n))
+    results = [scipy.optimize.minimize(
+        objective, start, method="Nelder-Mead",
+        options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
+                 "maxiter": SIMPLEX_MAXITER, "maxfev": 2 * SIMPLEX_MAXITER}) for start in starts]
+    # the lowest value wins, ties broken by the coordinates, then by start order
+    best = min(results, key=lambda res: (float(res.fun), tuple(res.x.tolist())))
+    best_value = float(best.fun)
+    any_converged = any(bool(res.success) for res in results)
+    conjugator = expm(from_coords(best.x, n))
     result = SpeedLimitResult(
         time=best_value / kappa,
         branch=branch,
@@ -198,7 +189,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
         f_value=best_value,
         kappa=kappa,
         diagnostics=Diagnostics(branches_considered=1,
-                                optimizer_iterations=best_nit,
+                                optimizer_iterations=int(best.nit),
                                 converged=any_converged),
     )
     if not any_converged:

@@ -14,6 +14,7 @@ report reproduces it byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -140,6 +141,8 @@ def load_json(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: nested too deeply") from exc
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -167,11 +170,22 @@ def _resolve(node, base_dir, parser, what):
     return parser(node)
 
 
-def constraint_from_json(data, base_dir=None):
+# Readers of the array fields: a state is a complex vector, Randers data are real.
+_ARRAY_READERS = {
+    "psi": vector_from_json,
+    "metric": lambda data: matrix_from_json(data).real,
+    "oneform": lambda data: vector_from_json(data).real,
+}
+MAX_DEPTH = 32  # deepest constraint tree read; evaluation recurses once per level
+
+
+def constraint_from_json(data, base_dir=None, _depth=1):
     """Build a constraint functional from its JSON description.
 
-    A malformed field, or a ``p`` outside its constraint's domain, raises
-    ConfigError naming the field.
+    ``kind`` names a class in ``constraints.KINDS``; ``children`` are its
+    subtrees and ``params`` its other dataclass fields.  A malformed field, a
+    ``p`` outside its constraint's domain, or a tree deeper than MAX_DEPTH
+    raises ConfigError naming the field.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("constraint spec must be an object with a 'kind' field")
@@ -182,74 +196,58 @@ def constraint_from_json(data, base_dir=None):
         raise ConfigError(f"field 'params': expected an object, got {params!r}")
     if not isinstance(children, list):
         raise ConfigError(f"field 'children': expected a list, got {children!r}")
-    if kind in con.COMBINATOR_KINDS:
+    cls = con.KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"field 'kind': unknown constraint {kind!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = {}
+    if "children" in names:
         if len(children) != 2:
             raise ConfigError(f"field 'children': {kind} needs exactly 2, got {len(children)}")
-        built = tuple(constraint_from_json(c, base_dir) for c in children)
-        if kind == "sum":
-            return con.Sum(children=built)
-        if kind == "max":
-            return con.Max(children=built)
-        if kind == "min":
-            return con.Min(children=built)
-        if kind == "powmean":
-            return _with_p(con.PowerMean, params, children=built)
-        return _with_p(con.GeometricMean, params, children=built)
-    if children:
+        if _depth >= MAX_DEPTH:
+            raise ConfigError(f"field 'children': tree deeper than {MAX_DEPTH} levels")
+        values["children"] = tuple(constraint_from_json(c, base_dir, _depth + 1) for c in children)
+    elif children:
         raise ConfigError(f"field 'children': atom {kind!r} takes none")
-    if kind == "schatten":
-        return _with_p(con.Schatten, params)
-    if kind == "op_shifted":
-        return con.SpectralRange()
-    if kind == "ml":
-        psi = _resolve(params.get("psi"), base_dir, vector_from_json, "params.psi")
-        return _with_p(con.GroundShiftedMoment, params, psi=psi)
-    if kind == "mt":
-        psi = _resolve(params.get("psi"), base_dir, vector_from_json, "params.psi")
-        return con.EnergyUncertainty(psi=psi)
-    if kind == "randers":
-        metric = _resolve(params.get("metric"), base_dir, matrix_from_json, "params.metric")
-        oneform = _resolve(params.get("oneform"), base_dir, vector_from_json, "params.oneform")
-        return con.Randers(metric=metric.real, oneform=oneform.real)
-    raise ConfigError(f"field 'kind': unknown constraint {kind!r}")
+    for name in (name for name in names if name not in values):
+        if name not in params:
+            raise ConfigError(f"field 'params.{name}': required for {kind}")
+        values[name] = (_parse_p(params[name]) if name == "p" else
+                        _resolve(params[name], base_dir, _ARRAY_READERS[name], f"params.{name}"))
+    try:
+        return cls(**values)
+    except InvalidParameterError as exc:
+        if "p" not in values:
+            raise
+        raise ConfigError(f"field 'params.p': {exc}") from exc
 
 
-def _with_p(cls, params, **fields):
-    """``cls(p=params["p"], **fields)``; a bad or out-of-domain p is a ConfigError."""
-    if "p" not in params:
-        raise ConfigError(f"field 'params.p': required for {cls.kind}")
-    p = params["p"]
+def _parse_p(p) -> float:
+    """A number, or "inf"/"infinity" in any case."""
     if isinstance(p, str):
         if p.lower() not in ("inf", "infinity"):
             raise ConfigError(f"field 'params.p': bad value {p!r}")
-        p = math.inf
+        return math.inf
     try:
-        p = float(p)
+        return float(p)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'params.p': bad value {p!r}") from exc
-    try:
-        return cls(p=p, **fields)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"field 'params.p': {exc}") from exc
 
 
 def constraint_to_json(func) -> dict:
     """Inverse of constraint_from_json (file references are not reproduced)."""
-    kind = func.kind
-    if kind == "schatten":
-        return {"kind": kind, "params": {"p": "inf" if math.isinf(func.p) else func.p}}
-    if kind == "op_shifted":
-        return {"kind": kind}
-    if kind == "ml":
-        return {"kind": kind, "params": {"p": func.p, "psi": vector_to_json(func.psi)}}
-    if kind == "mt":
-        return {"kind": kind, "params": {"psi": vector_to_json(func.psi)}}
-    if kind == "randers":
-        return {"kind": kind, "params": {"metric": matrix_to_json(func.metric),
-                                         "oneform": vector_to_json(func.oneform)}}
-    node: dict = {"kind": kind, "children": [constraint_to_json(c) for c in func.children]}
-    if kind in ("powmean", "geomean"):
-        node["params"] = {"p": func.p}
+    node: dict = {"kind": func.kind}
+    params = {}
+    for field in dataclasses.fields(func):
+        value = getattr(func, field.name)
+        if field.name == "children":
+            node["children"] = [constraint_to_json(c) for c in value]
+        elif isinstance(value, np.ndarray):
+            params[field.name] = matrix_to_json(value)
+        else:
+            params[field.name] = "inf" if math.isinf(value) else value
+    if params:
+        node["params"] = params
     return node
 
 
@@ -260,6 +258,8 @@ def parse_constraint_arg(arg: str, base_dir=None):
             data = json.loads(arg)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"inline constraint:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ConfigError("inline constraint: nested too deeply") from exc
         return constraint_from_json(data, base_dir)
     return constraint_from_json(load_json(arg), os.path.dirname(os.path.abspath(arg)))
 

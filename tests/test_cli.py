@@ -246,12 +246,44 @@ OP_SHIFTED_PAIR = [{"kind": "op_shifted"}, {"kind": "op_shifted"}]
     ({"kind": "schatten", "params": {"p": 0.5}}, "params.p"),
     ({"kind": "powmean", "params": {"p": -1}, "children": OP_SHIFTED_PAIR}, "params.p"),
     ({"kind": "schatten", "params": 5}, "params"),
+    ({"kind": "ml", "params": {"p": 1}}, "params.psi"),
+    ({"kind": "mt"}, "params.psi"),
+    ({"kind": "randers", "params": {"oneform": {"dim": 3, "re": [0, 0, 0], "im": [0, 0, 0]}}},
+     "params.metric"),
+    ({"kind": "randers", "params": {"metric": {"dim": 3, "re": np.eye(3).tolist(),
+                                               "im": np.zeros((3, 3)).tolist()}}},
+     "params.oneform"),
+    ({"kind": {"a": 1}}, "kind"),
+    ({"kind": "schatten", "params": {"p": "2"}}, "params.p"),
 ])
 def test_exit_2_on_malformed_constraint_spec(capsys, spec, field):
     code, _, err = run_cli(capsys, "time", "--gate", "qft:2",
                            "--constraint", json.dumps(spec))
     assert code == 2
     assert f"field '{field}'" in err
+    assert "Traceback" not in err
+
+
+def nested_sum(depth):
+    """A sum tree ``depth`` levels deep, as JSON text."""
+    text = '{"kind": "op_shifted"}'
+    for _ in range(depth - 1):
+        text = f'{{"kind": "sum", "children": [{text}, {{"kind": "op_shifted"}}]}}'
+    return text
+
+
+@pytest.mark.parametrize("depth,message", [(400, "field 'children'"),
+                                           (5000, "nested too deeply")])
+@pytest.mark.parametrize("inline", [True, False])
+def test_exit_2_on_deep_constraint_tree(capsys, tmp_path, depth, message, inline):
+    spec = nested_sum(depth)
+    if not inline:
+        path = tmp_path / "deep.json"
+        path.write_text(spec)
+        spec = str(path)
+    code, _, err = run_cli(capsys, "time", "--gate", "qft:2", "--constraint", spec)
+    assert code == 2
+    assert message in err
     assert "Traceback" not in err
 
 

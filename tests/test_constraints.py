@@ -233,9 +233,11 @@ def test_energy_stats_ordering_invariant():
 # facts carried by the classes, and non-finite input
 # ---------------------------------------------------------------------------
 
-def test_unitarily_invariant_marks_schatten_and_spectral_range_only():
+def test_unitarily_invariant_marks_spectral_atoms_and_their_combinators():
+    # a combinator is invariant when all its children are; powmean(s2, mt)
+    # has a state-anchored child, so it stays unmarked
     marked = {f.kind for f in catalog(3) if f.unitarily_invariant}
-    assert marked == {"schatten", "op_shifted"}
+    assert marked == {"schatten", "op_shifted", "sum", "max", "min", "geomean"}
 
 
 class SpectrumNorm:

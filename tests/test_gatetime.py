@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from qslkit import (
     principal_log,
     random_algebra_element,
 )
+from qslkit.constraints import Constraint
+from qslkit.errors import QslError
 from qslkit.gates import orthogonalizer, qft
 
 from grid_oracle import RANDERS_METRIC_DIAG, randers_grid_min
@@ -159,6 +164,33 @@ def test_gate_time_invariance_self_check_on_qft6():
     assert res.diagnostics.branches_considered == 50
     tree = Max(children=(Schatten(p=2), SpectralRange()))
     assert gate_time(tree, 1, qft(6), n_max=2).time == 7.853981633974479
+
+
+class ClaimsInvariance(Constraint):
+    """Marked unitarily invariant, but a larger logarithm scores lower."""
+
+    kind = "claims_invariance"
+    unitarily_invariant = True
+
+    def value(self, a):
+        return 100.0 - Schatten(p=2).value(a)
+
+
+def test_gate_time_self_check_covers_combinators():
+    gate = haar_su(3, seed=5)
+    tree = Max(children=(ClaimsInvariance(), ClaimsInvariance()))
+    assert tree.unitarily_invariant
+    with pytest.raises(QslError, match="internal consistency failure"):
+        gate_time(tree, 1.0, gate, n_max=1)
+    gate_time(Max(children=(Schatten(p=2), SpectralRange())), 1.0, gate, n_max=1)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only conj_min_time needs it, and it is most of the package's import time
+    code = "import sys, qslkit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # the gates of the spectral-search parity test: generic spectra, degenerate

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qslkit import ConfigError, Schatten, evaluate, random_algebra_element
+from qslkit.constraints import KINDS
 from qslkit.jsonio import (
     constraint_from_json,
     constraint_to_json,
@@ -18,6 +19,8 @@ from qslkit.jsonio import (
     vector_from_json,
     vector_to_json,
 )
+
+from test_constraints import catalog
 
 
 def test_matrix_round_trip_exact():
@@ -99,6 +102,22 @@ def test_schatten_inf_serialization():
     data = constraint_to_json(func)
     assert data["params"]["p"] == "inf"
     assert math.isinf(constraint_from_json(data).p)
+
+
+def reparse(text):
+    """Canonical JSON text of the constraint read from ``text``."""
+    return dumps_canonical(constraint_to_json(constraint_from_json(json.loads(text))))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_kind_round_trips_byte_for_byte(n):
+    funcs = catalog(n)  # Schatten(inf) included
+    assert {type(f) for f in funcs} == set(KINDS.values())
+    for func in funcs:
+        written = dumps_canonical(constraint_to_json(func))
+        text = reparse(written)  # an int p is read back as a float
+        assert json.loads(text) == json.loads(written)
+        assert reparse(text) == text
 
 
 def test_file_reference_resolution(tmp_path):
