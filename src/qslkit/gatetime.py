@@ -17,7 +17,6 @@ assembled branch.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from math import inf, isinf, pi
 from typing import Optional
@@ -26,7 +25,6 @@ import numpy as np
 
 from .constraints import evaluate, require_dim, spectral_values
 from .errors import (
-    DegenerateBranchTieError,
     InvalidParameterError,
     InvariantViolationError,
     OptimizerDidNotConvergeError,
@@ -93,46 +91,38 @@ def _require_kappa(kappa: float) -> float:
 def gate_time(func, kappa: float, gate, n_max: int = 0,
               atol: float = UNITARY_ATOL) -> SpeedLimitResult:
     """Minimum time to reach ``gate`` with a constant Hamiltonian on the
-    constraint level set F = kappa, minimized over logarithm branches with
-    winding |n_k| <= n_max.
+    constraint level set F = kappa, minimized over the logarithm branches with
+    winding |n_k| <= n_max (the ``log_branches`` window) plus the principal
+    branch.  A gate with neither (-I in SU(2), qft:6 at n_max = 0) raises
+    DegenerateBranchTieError.
 
     The search is spectral: one eigendecomposition of the gate gives every
     branch's shifted angles, and one ``spectral_values`` call scores them all.
     The near-ties of that score (within NEAR_TIE) are assembled, evaluated with
     ``value``, sorted as ``log_branches`` sorts them, and the first minimum
-    wins, so the result is the one a full sweep over ``log_branches`` gives.
+    wins, so the result is the one a full sweep over the same branches gives.
 
     For ``unitarily_invariant`` constraints (Schatten, the spectral range and
     their combinators) the principal branch is provably optimal; that is
-    asserted whenever the principal branch exists and is in the searched set.
+    asserted whenever the principal branch exists.
     """
     kappa = _require_kappa(kappa)
     clusters = _eigen_clusters(gate, atol=atol)
     require_dim(func, len(clusters.angles))
-    shifts = clusters.branch_shifts(n_max)
-    if not len(shifts):
-        clusters.principal_shifts()  # the informative degenerate-cluster error, when it applies
-        raise InvalidParameterError(
-            f"no traceless logarithm branch with winding <= {n_max}; raise n_max")
+    shifts, principal = clusters.search_shifts(n_max)
     scores = spectral_values(func, clusters.angles + TWO_PI * shifts,
                              clusters.decomposition.eigenvectors)
     low = np.min(scores)
     # NaN scores compare False, so they are confirmed too
-    near = [clusters.assemble(s) for s in shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))]]
-    near.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
+    near = clusters.sorted_branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
     values = [evaluate(func, b.value, validate=False) for b in near]
     best = int(np.argmin(values))
     f_value = float(values[best])
-    principal = None
-    if getattr(func, "unitarily_invariant", False):
-        with contextlib.suppress(DegenerateBranchTieError):  # else no principal branch exists
-            principal = clusters.principal_shifts()
-    if principal is not None:
-        row = (shifts == principal).all(axis=1)
-        if row.any() and not np.isclose(f_value, scores[row][0], rtol=1e-12, atol=1e-12):
-            raise QslError(
-                "internal consistency failure: principal branch is not "
-                "minimal for a unitarily invariant constraint")
+    if (principal is not None and getattr(func, "unitarily_invariant", False)
+            and not np.isclose(f_value, scores[principal], rtol=1e-12, atol=1e-12)):
+        raise QslError(
+            "internal consistency failure: principal branch is not "
+            "minimal for a unitarily invariant constraint")
     return SpeedLimitResult(
         time=f_value / kappa,
         branch=near[best],
@@ -159,11 +149,10 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
     import scipy.optimize  # deferred: it is most of the package's import time
 
-    clusters = _eigen_clusters(gate, atol=atol)
-    n = len(clusters.angles)
-    require_dim(func, n)
-    branch = clusters.assemble(clusters.principal_shifts())
+    branch = principal_log(gate, atol=atol)
     x = branch.value
+    n = len(x)
+    require_dim(func, n)
     rng = _as_rng(seed)
 
     def objective(coords: np.ndarray) -> float:

@@ -29,11 +29,10 @@ from .errors import (
 from .linalg import (
     UNITARY_ATOL,
     _as_rng,
+    _eigen_clusters,
     commutator,
     haar_su,
     is_identity,
-    log_branches,
-    principal_log,
     random_algebra_element,
     require_algebra_element,
     require_special_unitary,
@@ -226,28 +225,21 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     """Geodesic check at the logarithm of a gate.
 
     A passing report means the gate admits a time-optimal constant drive
-    under this constraint, so no pulse-shaping search is needed for it.  By
-    default only the principal logarithm is probed; ``branch_sweep`` > 0
-    checks every branch with winding up to that bound and reports the first
-    best, and raises if that bound admits no branch.  ``atol`` bounds the
-    gate's unitarity and determinant defects, as in ``gatetime.gate_time``.
+    under this constraint, so no pulse-shaping search is needed for it.  It
+    probes the branches with winding |n_k| <= ``branch_sweep`` plus the
+    principal branch, the set ``gatetime.gate_time`` searches (by default the
+    principal branch alone), and reports the first best.  ``atol`` bounds the
+    gate's unitarity and determinant defects, as in ``gate_time``.
     """
     gate = require_special_unitary(gate, atol=atol)
     if is_identity(gate):
         raise IdentityGateError("geodesic check is undefined for the identity gate")
-    branches = (log_branches(gate, branch_sweep, atol=atol) if branch_sweep > 0
-                else [principal_log(gate, atol=atol)])
-    if not branches:
-        principal_log(gate, atol=atol)  # the informative degenerate-cluster error, when it applies
-        raise InvalidParameterError(
-            f"no traceless logarithm branch with winding <= {branch_sweep}; raise branch_sweep")
-    best = None
-    for branch in branches:
-        rep = replace(geodesic_vector_check(func, branch.value, step=step, threshold=threshold),
-                      branch_shifts=tuple(branch.shifts.tolist()))
-        if best is None or rep.normalized_max < best.normalized_max:
-            best = rep
-    return best
+    clusters = _eigen_clusters(gate, atol=atol)
+    shifts, _ = clusters.search_shifts(branch_sweep)
+    reports = [replace(geodesic_vector_check(func, branch.value, step=step, threshold=threshold),
+                       branch_shifts=tuple(branch.shifts.tolist()))
+               for branch in clusters.sorted_branches(shifts)]
+    return min(reports, key=lambda rep: rep.normalized_max)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def constraint_from_json(data, base_dir=None, _depth=1):
 
     ``kind`` names a class in ``constraints.KINDS``; ``children`` are its
     subtrees and ``params`` its other dataclass fields.  A malformed field, a
-    ``p`` outside its constraint's domain, or a tree deeper than MAX_DEPTH
+    parameter outside its constraint's domain, or a tree deeper than MAX_DEPTH
     raises ConfigError naming the field.
     """
     if not isinstance(data, dict) or "kind" not in data:
@@ -217,9 +217,7 @@ def constraint_from_json(data, base_dir=None, _depth=1):
     try:
         return cls(**values)
     except InvalidParameterError as exc:
-        if "p" not in values:
-            raise
-        raise ConfigError(f"field 'params.p': {exc}") from exc
+        raise ConfigError(f"field '{'params.p' if 'p' in values else 'params'}': {exc}") from exc
 
 
 def _parse_p(p) -> float:

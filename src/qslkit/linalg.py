@@ -253,6 +253,30 @@ class _EigenClusters:
         picks = np.column_stack([head[keep], last[keep]])
         return self.base_shifts + picks[:, self.cluster_of]
 
+    def search_shifts(self, n_max: int) -> tuple[np.ndarray, int | None]:
+        """Shift rows a minimum-time search scores, the ``branch_shifts(n_max)``
+        window plus the principal branch, and the principal row's index (None
+        when no principal branch exists; its DegenerateBranchTieError is raised
+        when the window is empty too).  Principal shifts lie in {-1, 0, 1} and
+        an n_max = 0 window is empty unless it is the principal row, so a
+        non-empty window always holds the principal row.
+        """
+        window = self.branch_shifts(n_max)
+        try:
+            principal = self.principal_shifts()
+        except DegenerateBranchTieError:
+            if not len(window):
+                raise
+            return window, None
+        rows = window if len(window) else principal[None]
+        return rows, int(np.flatnonzero((rows == principal).all(axis=1))[0])
+
+    def sorted_branches(self, rows) -> list[LogBranch]:
+        """Assemble shift rows, ordered by Frobenius norm, then by shifts."""
+        branches = [self.assemble(s) for s in rows]
+        branches.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
+        return branches
+
 
 def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _EigenClusters:
     """Group (near-)equal eigenvalues of a unitary into angle clusters.
@@ -263,27 +287,18 @@ def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _Ei
     it sat at +pi.
     """
     theta = principal_angles(dec.eigenvalues)
-    n = len(theta)
     order = np.argsort(theta, kind="stable")
-    cluster_of = np.empty(n, dtype=int)
-    cid = 0
-    cluster_of[order[0]] = 0
-    for pos in range(1, n):
-        k, prev = order[pos], order[pos - 1]
-        if theta[k] - theta[prev] > cluster_atol:
-            cid += 1
-        cluster_of[k] = cid
-    base = np.zeros(n, dtype=int)
-    if cid > 0 and (theta[order[0]] + TWO_PI) - theta[order[-1]] <= cluster_atol:
-        # wrap-around: merge the cluster at -pi into the one at +pi
+    cluster_of = np.empty(len(theta), dtype=int)
+    cluster_of[order] = np.concatenate(([0], np.cumsum(np.diff(theta[order]) > cluster_atol)))
+    n_clusters = int(cluster_of[order[-1]]) + 1
+    base = np.zeros(len(theta), dtype=int)
+    if n_clusters > 1 and (theta[order[0]] + TWO_PI) - theta[order[-1]] <= cluster_atol:
+        # wrap-around: merge the cluster at -pi into the one at +pi, renumber from 0
         low = cluster_of == 0
-        cluster_of[low] = cluster_of[order[-1]]
+        cluster_of[low] = n_clusters - 1
         base[low] = 1
-        # re-number clusters densely
-        ids = np.unique(cluster_of)
-        remap = {old: new for new, old in enumerate(ids)}
-        cluster_of = np.array([remap[c] for c in cluster_of], dtype=int)
-        cid = len(ids) - 1
+        cluster_of -= 1
+        n_clusters -= 1
     effective = theta + TWO_PI * base
     winding = int(np.rint(effective.sum() / TWO_PI))
     return _EigenClusters(
@@ -291,7 +306,7 @@ def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _Ei
         angles=theta,
         base_shifts=base,
         cluster_of=cluster_of,
-        n_clusters=cid + 1,
+        n_clusters=n_clusters,
         winding=winding,
     )
 
@@ -334,9 +349,7 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
     Frobenius norm of the branch value, ties broken by the shift vector.
     """
     clusters = _eigen_clusters(u, atol, cluster_atol)
-    branches = [clusters.assemble(s) for s in clusters.branch_shifts(n_max)]
-    branches.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
-    return branches
+    return clusters.sorted_branches(clusters.branch_shifts(n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qslkit.cli import main
-from qslkit.jsonio import dumps_canonical, matrix_to_json, save_matrix
-from qslkit import haar_su
+from qslkit.jsonio import dumps_canonical, load_matrix, matrix_to_json, save_matrix
+from qslkit import Schatten, gate_time, haar_su, log_branches, principal_log
 from qslkit.gates import orthogonalizer
 
 
@@ -202,6 +202,23 @@ def test_gate_file_round_trip(capsys, tmp_path, schatten2):
     assert json.loads(out)["time"] > 0
 
 
+def test_time_default_n_max_answers_gate_with_nonzero_winding(capsys, tmp_path, schatten2):
+    # the principal angles of this gate do not sum to zero, so the |n_k| <= 0
+    # window is empty; the principal branch is searched all the same
+    gate = haar_su(4, seed=51)
+    path = tmp_path / "gate.json"
+    save_matrix(str(path), gate)
+    assert not log_branches(load_matrix(str(path)), 0)
+    code, out, err = run_cli(capsys, "time", "--gate", f"file:{path}",
+                             "--constraint", schatten2, "--output", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    want = gate_time(Schatten(p=2), 1.0, load_matrix(str(path)), n_max=1)
+    assert report["time"] == want.time
+    assert report["branch_shifts"] == principal_log(gate).shifts.tolist()
+    assert report["branch_shifts"] == want.branch.shifts.tolist()
+
+
 def test_exit_4_on_dimension_mismatch(capsys, mt0):
     code, _, err = run_cli(capsys, "time", "--gate", "qft:3", "--constraint", mt0)
     assert code == 4
@@ -261,6 +278,23 @@ def test_exit_2_on_malformed_constraint_spec(capsys, spec, field):
                            "--constraint", json.dumps(spec))
     assert code == 2
     assert f"field '{field}'" in err
+    assert "Traceback" not in err
+
+
+def randers_spec(metric_diag, oneform):
+    return json.dumps({"kind": "randers", "params": {
+        "metric": {"dim": 3, "re": np.diag(metric_diag).tolist(), "im": np.zeros((3, 3)).tolist()},
+        "oneform": {"dim": 3, "re": list(oneform), "im": [0, 0, 0]}}})
+
+
+@pytest.mark.parametrize("spec,message", [
+    (randers_spec([1.0, -1.0, 1.0], [0, 0, 0]), "metric must be positive definite"),
+    (randers_spec([1.0, 1.0, 1.0], [0.8, 0.8, 0]), "oneform too large for positivity"),
+], ids=["metric", "oneform"])
+def test_exit_2_on_randers_outside_its_domain(capsys, spec, message):
+    code, _, err = run_cli(capsys, "time", "--gate", "qft:2", "--constraint", spec)
+    assert code == 2
+    assert f"field 'params': {message}" in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qslkit import (
     DegenerateBranchTieError,
@@ -227,6 +229,48 @@ def test_gate_time_matches_full_branch_sweep(name):
             assert res.branch.shifts.tolist() == branch.shifts.tolist(), where
             assert res.branch.value.tobytes() == branch.value.tobytes(), where
             assert res.diagnostics.branches_considered == count, where
+
+
+def window_and_principal(gate, n_max):
+    """The branches gate_time searches, assembled one by one: the window
+    |n_k| <= n_max plus the principal branch, when one exists."""
+    branches = log_branches(gate, n_max)
+    try:
+        principal = principal_log(gate)
+    except DegenerateBranchTieError:
+        return branches
+    if not any(b.shifts.tolist() == principal.shifts.tolist() for b in branches):
+        branches.append(principal)
+    return branches
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), n_max=st.integers(0, 2),
+       pick=st.integers(0, 13))
+# Haar seeds whose principal angles do not sum to zero, so the n_max = 0
+# window is empty and only the principal branch answers
+@example(n=3, seed=61, n_max=0, pick=8)
+@example(n=4, seed=51, n_max=0, pick=1)
+@example(n=6, seed=3, n_max=0, pick=12)
+def test_gate_time_is_the_minimum_over_window_and_principal(n, seed, n_max, pick):
+    gate = haar_su(n, seed)
+    func = catalog(n)[pick]
+    branches = window_and_principal(gate, n_max)
+    res = gate_time(func, 1.0, gate, n_max=n_max)
+    assert res.f_value == min(evaluate(func, b.value, validate=False) for b in branches)
+    assert res.diagnostics.branches_considered == len(branches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 8))
+@example(n=4, seed=51, pick=1)
+@example(n=5, seed=1, pick=0)
+def test_default_gate_time_is_principal_for_invariant_constraints(n, seed, pick):
+    # the principal branch is optimal and first in log_branches order among
+    # its ties, so the n_max = 1 search picks it too
+    gate = haar_su(n, seed)
+    func = [f for f in catalog(n) if f.unitarily_invariant][pick]
+    assert gate_time(func, 1.0, gate).time == gate_time(func, 1.0, gate, n_max=1).time
 
 
 class CountingSchatten(Schatten):

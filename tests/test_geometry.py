@@ -278,6 +278,11 @@ def test_branch_sweep_with_no_branch_raises():
         gate_geodesic_check(Schatten(p=2), -np.eye(2, dtype=complex), branch_sweep=1)
 
 
+def test_negative_branch_sweep_is_rejected():
+    with pytest.raises(InvalidParameterError):
+        gate_geodesic_check(Schatten(p=2), haar_su(2, seed=77), branch_sweep=-1)
+
+
 # ---------------------------------------------------------------------------
 # generic probe machinery
 # ---------------------------------------------------------------------------

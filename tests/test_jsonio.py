@@ -148,12 +148,11 @@ def test_missing_p_reports_field():
 
 
 def test_randers_from_json_enforces_positivity():
-    from qslkit.errors import InvalidParameterError
     spec = {"kind": "randers", "params": {
         "metric": {"dim": 3, "re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                    "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
         "oneform": {"dim": 3, "re": [2.0, 0, 0], "im": [0, 0, 0]}}}
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError, match="field 'params': oneform too large"):
         constraint_from_json(spec)
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qslkit import (
     DegenerateBranchTieError,
@@ -161,6 +163,13 @@ def test_principal_log_roundtrip_random():
             a *= (np.pi - 0.1) / max(np.max(np.abs(w)), 1e-12)
             branch = principal_log(expm(a))
             assert np.max(np.abs(branch.value - a)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_principal_log_exponentiates_back_to_the_gate(n, seed):
+    u = haar_su(n, seed)
+    assert np.max(np.abs(expm(principal_log(u).value) - u)) <= 1e-12
 
 
 def test_principal_log_degenerate_tie_reports_candidates():
