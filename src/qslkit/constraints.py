@@ -102,12 +102,23 @@ class Constraint:
     ``unitarily_invariant`` marks functions of the spectrum (Schatten, the
     spectral range, and combinators of them) for which gate_time asserts that
     the principal logarithm branch is minimal.
+
+    ``orbit_states`` says how F varies along an adjoint orbit V X V†: ``()``
+    when it is constant there (``unitarily_invariant``), the reference states
+    when F depends on V only through V†psi and is least where each V†psi is a
+    ground eigenvector of 1j*X (the state-anchored moments), and None when F
+    varies in any other way.  ``gatetime.conj_min_time`` reads its orbit
+    minimum off this in closed form when every state is the same.
     """
 
     kind: str
     children = ()
     dim = None
     unitarily_invariant = False
+
+    @property
+    def orbit_states(self) -> Optional[tuple]:
+        return () if self.unitarily_invariant else None
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -209,6 +220,11 @@ class _StateAnchored(Constraint):
     @property
     def dim(self) -> Optional[int]:
         return len(self.psi)
+
+    @property
+    def orbit_states(self) -> tuple:
+        # F_psi(V X V†) = F_{V†psi}(X), and ml and mt vanish at a ground eigenvector
+        return (self.psi,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,6 +368,12 @@ class _Combinator(Constraint):
         # every combine is nondecreasing in both arguments, so a branch that
         # is minimal for both children is minimal for the combination
         return all(getattr(c, "unitarily_invariant", False) for c in self.children)
+
+    @property
+    def orbit_states(self) -> Optional[tuple]:
+        # nondecreasing combines again: V minimizing every child minimizes the tree
+        states = [getattr(c, "orbit_states", None) for c in self.children]
+        return None if any(s is None for s in states) else sum(states, ())
 
     def value(self, a) -> float:
         return float(self.combine(self.children[0].value(a), self.children[1].value(a)))

@@ -44,9 +44,11 @@ from .linalg import (
     _eigen_clusters,
 )
 
-# Derivative-free search defaults: simplex diameter convergence and a hard
-# iteration cap; the objective may be non-smooth (max/min combinators,
-# spectral degeneracies), so gradient methods are not used.
+# Derivative-free search defaults, for the F whose conjugation minimum has no
+# closed form (Randers leaves, states that differ, duck-typed F): simplex
+# diameter convergence and a hard iteration cap; the objective may be
+# non-smooth (max/min combinators, spectral degeneracies), so gradient
+# methods are not used.
 SIMPLEX_TOL = 1e-9
 SIMPLEX_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
@@ -139,21 +141,33 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     """Minimize F(V X V†)/kappa over conjugators V in SU(n), X = log(gate).
 
     Conjugation commutes with the principal logarithm, so the search runs on
-    the fixed principal branch.  V is charted as exp(sum_i c_i T_i) over the
-    su basis and minimized by multi-start Nelder-Mead; the identity chart
-    point is always one start, so the result can never exceed the plain
-    branch value.  For conjugation-invariant F the minimum equals gate_time.
+    the fixed principal branch.  When F's ``orbit_states`` is empty or holds
+    one state psi (repeated or not), the minimum is exact and no optimizer
+    runs: an invariant F is constant on the orbit (V = I), and a tree whose
+    state-anchored leaves share psi has every such leaf, and so the tree, at
+    its minimum where V maps the ground eigenvector of 1j*X onto psi.  Otherwise
+    (Randers leaves, leaves on different states, duck-typed F) V is charted as
+    exp(sum_i c_i T_i) over the su basis and minimized by multi-start
+    Nelder-Mead; the identity chart point is always one start, so the result
+    can never exceed the plain branch value.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
-    import scipy.optimize  # deferred: it is most of the package's import time
-
     branch = principal_log(gate, atol=atol)
     x = branch.value
     n = len(x)
     require_dim(func, n)
     rng = _as_rng(seed)
+    states = getattr(func, "orbit_states", None)
+    if states is not None and all(np.array_equal(s, states[0]) for s in states):
+        conjugator = _orbit_minimizer(x, states[0] if states else None)
+        f_value = evaluate(func, conjugator @ x @ conjugator.conj().T, validate=False)
+        return SpeedLimitResult(
+            time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
+            kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
+                                                 optimizer_iterations=0, converged=True))
+    import scipy.optimize  # deferred: it is most of the package's import time
 
     def objective(coords: np.ndarray) -> float:
         v = expm(from_coords(coords, n))
@@ -186,6 +200,23 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
             f"no restart converged within {SIMPLEX_MAXITER} iterations; "
             f"best value so far {best_value:.17g}", best=result)
     return result
+
+
+def _orbit_minimizer(x: np.ndarray, psi: Optional[np.ndarray]) -> np.ndarray:
+    """Special unitary V with V u_0 proportional to psi, u_0 the ground
+    eigenvector of 1j*X; the identity when there is no state.
+
+    V = W u†, with u the eigenvectors of 1j*X (ground first) and W a QR
+    completion of psi, so V X V† = W diag(-1j*w) W† and psi is an
+    eigenvector of it up to roundoff.
+    """
+    n = len(x)
+    if psi is None:
+        return np.eye(n, dtype=np.complex128)
+    _, u = np.linalg.eigh(1j * x)
+    w, _ = np.linalg.qr(np.column_stack([psi, np.eye(n)]))
+    v = w @ u.conj().T
+    return v / np.linalg.det(v) ** (1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .linalg import (
     is_identity,
     random_algebra_element,
     require_algebra_element,
-    require_special_unitary,
     su_basis,
 )
 
@@ -231,10 +230,11 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     principal branch alone), and reports the first best.  ``atol`` bounds the
     gate's unitarity and determinant defects, as in ``gate_time``.
     """
-    gate = require_special_unitary(gate, atol=atol)
+    clusters = _eigen_clusters(gate, atol=atol)
     if is_identity(gate):
         raise IdentityGateError("geodesic check is undefined for the identity gate")
-    clusters = _eigen_clusters(gate, atol=atol)
+    if branch_sweep < 0:
+        raise InvalidParameterError(f"branch_sweep must be >= 0, got {branch_sweep}")
     shifts, _ = clusters.search_shifts(branch_sweep)
     reports = [replace(geodesic_vector_check(func, branch.value, step=step, threshold=threshold),
                        branch_shifts=tuple(branch.shifts.tolist()))

@@ -11,11 +11,11 @@ overridable keyword.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateBranchTieError,
@@ -33,6 +33,12 @@ UNITARY_ATOL = 1e-10
 ALGEBRA_ATOL = 1e-10
 NORMALITY_ATOL = 1e-8
 CLUSTER_ATOL = 1e-8
+
+# Most candidate rows a branch enumeration may build: its lattice holds
+# prod(window widths) rows before the trace filter, (2 n_max + 1)**(k - 1) for
+# k clusters, so n = 8 at n_max = 3 (823,543 rows) runs and n = 10 at
+# n_max = 3 (40M rows, about 2.9 GB of indices) is refused.
+MAX_BRANCH_ROWS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,8 @@ def eig_normal(m, normality_atol: float = NORMALITY_ATOL) -> SpectralDecompositi
     returned sorted by argument in (-pi, pi], then by modulus, so the ordering
     is deterministic.
     """
+    import scipy.linalg  # deferred: importing it is most of the package's import time
+
     m = as_square_matrix(m)
     commut = float(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)))
     if not commut <= normality_atol:
@@ -237,7 +245,9 @@ class _EigenClusters:
         c (one per cluster) must satisfy sum_c c * size_c = -winding.  All
         clusters but the last range over their windows, in lexicographic
         order; the trace condition fixes the last one, which must land in its
-        own window.  Also right for one cluster and for empty windows.
+        own window.  Also right for one cluster and for empty windows.  A
+        lattice of more than MAX_BRANCH_ROWS rows raises InvalidParameterError
+        before anything is allocated.
         """
         if n_max < 0:
             raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
@@ -247,7 +257,12 @@ class _EigenClusters:
         lo = np.array([-n_max - b.min() for b in base])
         hi = np.array([n_max - b.max() for b in base])
         widths = hi[:-1] - lo[:-1] + 1
-        head = np.indices(widths).reshape(k - 1, int(np.prod(widths))).T + lo[:-1]
+        rows = math.prod(widths.tolist())
+        if rows > MAX_BRANCH_ROWS:
+            raise InvalidParameterError(
+                f"n_max = {n_max} needs {rows} branch lattice rows, "
+                f"above the cap of {MAX_BRANCH_ROWS}; lower n_max")
+        head = np.indices(widths).reshape(k - 1, rows).T + lo[:-1]
         last, rem = np.divmod(-self.winding - head @ sizes[:-1], sizes[-1])
         keep = (rem == 0) & (lo[-1] <= last) & (last <= hi[-1])
         picks = np.column_stack([head[keep], last[keep]])

@@ -219,6 +219,18 @@ def test_time_default_n_max_answers_gate_with_nonzero_winding(capsys, tmp_path, 
     assert report["branch_shifts"] == want.branch.shifts.tolist()
 
 
+@pytest.mark.parametrize("command,flag", [("time", "--n-max"), ("branches", "--n-max"),
+                                          ("geodesic", "--branch-sweep")])
+def test_exit_4_on_branch_lattice_above_the_cap(capsys, tmp_path, schatten2, command, flag):
+    # 11 distinct eigenvalues at a window of 3: 7**10 candidate rows
+    path = tmp_path / "gate.json"
+    save_matrix(str(path), np.diag(np.exp(0.1j * (np.arange(11) - 5))))
+    constraint = () if command == "branches" else ("--constraint", schatten2)
+    code, out, err = run_cli(capsys, command, "--gate", f"file:{path}", *constraint, flag, "3")
+    assert (code, out) == (4, "")
+    assert f"n_max = 3 needs {7 ** 10} branch lattice rows" in err
+
+
 def test_exit_4_on_dimension_mismatch(capsys, mt0):
     code, _, err = run_cli(capsys, "time", "--gate", "qft:3", "--constraint", mt0)
     assert code == 4

@@ -32,6 +32,7 @@ from qslkit import (
     random_algebra_element,
 )
 from qslkit.constraints import spectral_values
+from qslkit.geometry import INVARIANCE_THRESHOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 A_HALF_PI_X = -1j * (np.pi / 2) * SX  # Hamiltonian (pi/2) * sigma_x
@@ -238,6 +239,42 @@ def test_unitarily_invariant_marks_spectral_atoms_and_their_combinators():
     # has a state-anchored child, so it stays unmarked
     marked = {f.kind for f in catalog(3) if f.unitarily_invariant}
     assert marked == {"schatten", "op_shifted", "sum", "max", "min", "geomean"}
+
+
+def test_orbit_states_name_the_anchoring_states_of_the_tree():
+    # () for functions of the spectrum, the state for ml and mt, concatenated
+    # through combinators, and None wherever a Randers leaf or a duck-typed
+    # constraint enters the tree
+    psi, other = basis_state(3), basis_state(3, 1)
+
+    def listed(func):
+        states = func.orbit_states
+        return None if states is None else [s.tolist() for s in states]
+
+    for func in catalog(3):
+        if func.unitarily_invariant:
+            assert listed(func) == [], func.kind
+    kinds = {f.kind: listed(f) for f in catalog(3) if not f.unitarily_invariant}
+    assert kinds == {"ml": [psi.tolist()], "mt": [psi.tolist()], "randers": None,
+                     "powmean": [psi.tolist()]}
+    pair = Max(children=(GroundShiftedMoment(p=1, psi=psi), EnergyUncertainty(psi=other)))
+    assert listed(pair) == [psi.tolist(), other.tolist()]
+    assert listed(Sum(children=(Schatten(p=2), randers_pair(3)))) is None
+    assert listed(Sum(children=(Schatten(p=2), SpectrumNorm()))) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), lam=st.floats(1e-3, 1e3))
+def test_invariant_catalog_is_homogeneous_and_conjugation_invariant(n, seed, lam):
+    # F(lam A) = lam F(A) to test_catalog_homogeneity's 1e-9 and
+    # F(V A V†) = F(A) to check_ad_invariance's threshold, both relative
+    rng = np.random.default_rng(seed)
+    a = random_algebra_element(n, rng)
+    v = haar_su(n, rng)
+    for func in (f for f in catalog(n) if f.unitarily_invariant):
+        fa = evaluate(func, a)
+        assert abs(evaluate(func, lam * a) - lam * fa) <= 1e-9 * lam * fa, func
+        assert abs(evaluate(func, v @ a @ v.conj().T) - fa) <= INVARIANCE_THRESHOLD * fa, func
 
 
 class SpectrumNorm:

@@ -18,9 +18,11 @@ from qslkit import (
     InvalidParameterError,
     InvariantViolationError,
     Max,
+    OptimizerDidNotConvergeError,
     Randers,
     Schatten,
     SpectralRange,
+    Sum,
     Trajectory,
     TooFewSamplesError,
     action,
@@ -36,6 +38,7 @@ from qslkit import (
 )
 from qslkit.constraints import Constraint
 from qslkit.errors import QslError
+from qslkit.gatetime import Diagnostics
 from qslkit.gates import orthogonalizer, qft
 
 from grid_oracle import RANDERS_METRIC_DIAG, randers_grid_min
@@ -188,11 +191,17 @@ def test_gate_time_self_check_covers_combinators():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only conj_min_time needs it, and it is most of the package's import time
-    code = "import sys, qslkit; print('scipy.optimize' in sys.modules)"
+    # only conj_min_time's search needs scipy.optimize and only eig_normal
+    # scipy.linalg; the two are most of the package's import time
+    code = "import sys, qslkit; print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])"
+    assert child_stdout(code) == "[False, False]"
+
+
+def child_stdout(code):
+    """Stripped stdout of ``code`` run in a fresh interpreter on this sys.path."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
 # the gates of the spectral-search parity test: generic spectra, degenerate
@@ -334,6 +343,94 @@ def test_conj_min_against_grid_oracle():
     assert res.time <= oracle + 1e-9
 
 
+class Opaque:
+    """Forwards ``value`` and ``dim`` and nothing else, so conj_min_time has
+    no ``orbit_states`` to read and runs its search."""
+
+    def __init__(self, func):
+        self.func = func
+        self.dim = func.dim
+
+    def value(self, a):
+        return self.func.value(a)
+
+
+def orbit_catalog(psi):
+    """The trees whose conjugation minimum is closed-form: invariant atoms,
+    ml and mt, and a Max of both kinds on one state."""
+    return [Schatten(p=2), SpectralRange(), GroundShiftedMoment(p=1, psi=psi),
+            GroundShiftedMoment(p=2, psi=psi), EnergyUncertainty(psi=psi),
+            Max(children=(Schatten(p=2), GroundShiftedMoment(p=1, psi=psi)))]
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 5),
+       basis=st.booleans())
+@example(n=2, seed=1, pick=0, basis=True)
+@example(n=3, seed=2, pick=1, basis=False)
+@example(n=3, seed=3, pick=2, basis=False)
+@example(n=2, seed=4, pick=3, basis=True)
+@example(n=4, seed=5, pick=4, basis=False)
+@example(n=3, seed=6, pick=5, basis=True)
+def test_conj_min_closed_form_is_the_orbit_minimum(n, seed, pick, basis):
+    # no search finds less, the conjugator is special unitary, and it
+    # reproduces f_value bit for bit.  The search is capped at 2,000
+    # iterations per restart (mt on a random state can run all 20,000): the
+    # value it stops at is attained all the same.  mt is the square root of a
+    # variance, which rounding near zero moves by 1e-16 * |X|**2, so mt
+    # compares F**2
+    import qslkit.gatetime as gt
+    rng = np.random.default_rng(seed)
+    gate = haar_su(n, rng)
+    psi = basis_state(n) if basis else haar_su(n, rng)[:, 0]
+    func = orbit_catalog(psi)[pick]
+    res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gt, "SIMPLEX_MAXITER", 2_000)
+        try:
+            ref = conj_min_time(Opaque(func), 1.0, gate, restarts=4, seed=seed)
+        except OptimizerDidNotConvergeError as exc:
+            ref = exc.best
+    power = 2.0 if func.kind == "mt" else 1.0
+    assert res.f_value ** power <= ref.f_value ** power + 1e-9
+    v = res.conjugator
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    assert abs(np.linalg.det(v) - 1.0) <= 1e-12
+    assert evaluate(func, v @ res.branch.value @ v.conj().T, validate=False) == res.f_value
+    assert res.time == res.f_value
+    assert res.diagnostics == Diagnostics(branches_considered=1, optimizer_iterations=0,
+                                          converged=True)
+
+
+def test_conj_min_closed_form_validates_and_draws_nothing():
+    gate = haar_su(3, seed=8)
+    func = GroundShiftedMoment(p=1, psi=basis_state(3))
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    conj_min_time(func, 1.0, gate, seed=rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(InvalidParameterError, match="restarts"):
+        conj_min_time(func, 1.0, gate, restarts=0)
+    with pytest.raises(ValueError):
+        conj_min_time(func, 1.0, gate, seed=-1)
+    code = ("import sys, qslkit as q; "
+            "q.conj_min_time(q.Schatten(p=2), 1.0, q.haar_su(2, 1)); "
+            "q.conj_min_time(q.EnergyUncertainty(psi=q.basis_state(2)), 1.0, q.haar_su(2, 1)); "
+            "print('scipy.optimize' in sys.modules)")
+    assert child_stdout(code) == "False"
+
+
+@pytest.mark.parametrize("func", [
+    Sum(children=(Schatten(p=2), Randers(metric=np.diag(RANDERS_METRIC_DIAG),
+                                         oneform=np.zeros(3)))),
+    Max(children=(GroundShiftedMoment(p=1, psi=basis_state(2)),
+                  EnergyUncertainty(psi=basis_state(2, 1)))),
+], ids=["randers_tree", "states_differ"])
+def test_conj_min_searches_when_no_closed_form_applies(func):
+    res = conj_min_time(func, 1.0, haar_su(2, seed=10), restarts=2, seed=0)
+    assert res.diagnostics.optimizer_iterations > 0
+
+
 def test_conj_min_result_fields():
     res = conj_min_time(Schatten(p=2), 2.0, orthogonalizer(np.pi, 2), restarts=2, seed=4)
     assert res.conjugator is not None
@@ -466,9 +563,10 @@ def test_conj_min_nonconvergence_carries_best(monkeypatch):
     import qslkit.gatetime as gt
     from qslkit import OptimizerDidNotConvergeError
     monkeypatch.setattr(gt, "SIMPLEX_MAXITER", 1)
+    # the criterion-7 Randers constraint: no closed form, so the optimizer runs
+    randers = Randers(metric=np.diag(RANDERS_METRIC_DIAG), oneform=np.zeros(3))
     with pytest.raises(OptimizerDidNotConvergeError) as exc:
-        conj_min_time(GroundShiftedMoment(p=1, psi=basis_state(2)), 1.0,
-                      orthogonalizer(np.pi, 2), restarts=2, seed=0)
+        conj_min_time(randers, 1.0, orthogonalizer(np.pi, 2), restarts=2, seed=0)
     best = exc.value.best
     assert best is not None
     assert not best.diagnostics.converged

@@ -9,6 +9,7 @@ from qslkit import (
     GroundShiftedMoment,
     IdentityGateError,
     InvalidParameterError,
+    InvariantViolationError,
     Max,
     PowerMean,
     Randers,
@@ -223,6 +224,16 @@ def test_gate_check_identity_rejected():
         gate_geodesic_check(Schatten(p=2), np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("gate,message", [
+    (1.5 * np.eye(2, dtype=complex), r"^matrix is not unitary: max\|U†U - I\| = 1\.250e\+00$"),
+    (1j * np.eye(2, dtype=complex), r"^matrix is not special unitary: det = -1\+0j$"),
+])
+def test_gate_check_rejects_non_special_unitary_before_the_identity_check(gate, message):
+    # a scaled identity is caught by the gate validation, not reported as the identity
+    with pytest.raises(InvariantViolationError, match=message):
+        gate_geodesic_check(Schatten(p=2), gate)
+
+
 def fibonacci_directions(count):
     k = np.arange(count)
     phi = np.pi * (3.0 - np.sqrt(5.0)) * k
@@ -279,7 +290,7 @@ def test_branch_sweep_with_no_branch_raises():
 
 
 def test_negative_branch_sweep_is_rejected():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="branch_sweep must be >= 0, got -1"):
         gate_geodesic_check(Schatten(p=2), haar_su(2, seed=77), branch_sweep=-1)
 
 

@@ -1,6 +1,7 @@
 """Foundation tests: eigendecomposition, exp/log, branches, basis, sampling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qslkit import (
     DegenerateBranchTieError,
     DimensionMismatchError,
+    InvalidParameterError,
     InvariantViolationError,
     NotNormalError,
     basis_coords,
@@ -26,7 +28,7 @@ from qslkit import (
     su_basis,
 )
 from qslkit.gates import orthogonalizer, qft
-from qslkit.linalg import _eigen_clusters
+from qslkit.linalg import MAX_BRANCH_ROWS, _eigen_clusters
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -281,6 +283,24 @@ def test_branch_shift_lattice_matches_product(gate, n_max):
         assert clusters.n_clusters == 1 and got.tolist() == [[0, 0, 0]]
     if gate == "wrap5" and n_max == 0:
         assert got.shape == (0, 5) and log_branches(u, 0) == []
+
+
+def test_branch_lattice_above_the_cap_is_refused_before_allocating():
+    # 11 distinct eigenvalues at n_max = 3: 7**10 lattice rows, 22 GB of
+    # indices; n = 8 at n_max = 3 (7**7 rows) stays under the cap
+    assert 7 ** 7 <= MAX_BRANCH_ROWS < 7 ** 10
+    clusters = _eigen_clusters(np.diag(np.exp(0.1j * (np.arange(11) - 5))))
+    assert clusters.n_clusters == 11
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError,
+                           match=f"n_max = 3 needs {7 ** 10} branch lattice rows, "
+                                 f"above the cap of {MAX_BRANCH_ROWS}"):
+            clusters.branch_shifts(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_branches_empty_for_minus_identity():
