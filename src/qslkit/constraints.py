@@ -29,12 +29,23 @@ GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
 
 Each class carries its own facts; the ``Constraint`` base holds the defaults
 (no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
-``kink_margin`` inf, and ``spectral_values`` by assembling each point).  A
-custom constraint still needs only ``value(a)``; subclass ``Constraint`` to
+``kink_margin`` inf, ``values`` by calling ``value`` on each point, and
+``spectral_values`` by assembling each point).  A custom constraint still
+needs only ``value(a)``: the module functions ``values`` and
+``spectral_values`` give it the looping defaults.  Subclass ``Constraint`` to
 also serve ``geometry.kink_margin`` and its probe sampler.  ``KINDS`` maps
 each ``kind`` to its class, whose dataclass fields are its ``jsonio`` format.
 
-``spectral_values(phi, q)`` is an optional batched form: F at every
+``values(stack)`` is the batched form for points that share nothing: F at
+each matrix of an (m, n, n) stack, with one stacked LAPACK call where
+``value`` makes one per point, and the same bits as ``value`` on every point.
+The sampled checks and the finite-difference stencils in ``geometry``, the
+homogeneity check and ``gatetime.action`` evaluate F this way.  Where
+``value`` takes a power of a scalar, ``values`` takes it point by point too:
+numpy's array power rounds differently from the scalar one.
+
+``spectral_values(phi, q)`` is the batched form for points that share an
+eigenbasis: F at every
 X_b = q diag(1j*phi_b) q† for the rows phi_b of ``phi`` and one unitary q.
 The Hamiltonian 1j*X_b has eigenvalues -phi_b on the columns of q, so every
 atom reads its value off those rows (Lewis, "Derivatives of spectral
@@ -58,6 +69,11 @@ from .linalg import basis_coords, random_algebra_element, require_algebra_elemen
 
 STATE_ATOL = 1e-12
 
+# Most matrix entries (128 KB of complex128) a sampled check or a stencil puts
+# in one stacked ``values`` call, so its memory stays bounded whatever its
+# sample count and dimension.
+STACK_ENTRIES = 8192
+
 
 def require_state(psi, atol: float = STATE_ATOL) -> np.ndarray:
     """Validate a unit-norm complex state vector."""
@@ -78,8 +94,20 @@ def basis_state(n: int, k: int = 0) -> np.ndarray:
 
 
 def _hermitian_eigs(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of H = 1j*A."""
+    """Ascending eigenvalues of H = 1j*A, or of each matrix of a stack."""
     return np.linalg.eigvalsh(1j * a)
+
+
+def _scalar_powers(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry in scalar arithmetic, as ``value`` computes it."""
+    return np.array([v ** e for v in x.tolist()], dtype=float)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i @ y_i for each row y_i of y, with x one vector or one row per y_i:
+    a (1, n) @ (n, 1) product is the BLAS dot that the vector product in
+    ``value`` takes, where einsum sums in another order."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _require_exponent(p: float, what: str) -> None:
@@ -128,12 +156,27 @@ class Constraint:
         """
         return inf
 
+    def values(self, stack: np.ndarray) -> np.ndarray:
+        """F at each matrix of an (m, n, n) stack, bit for bit as ``value``.
+
+        This default calls ``value`` on each point.
+        """
+        return np.array([self.value(a) for a in stack], dtype=float)
+
     def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F at every X_b = q diag(1j*phi_b) q†, one row phi_b of ``phi`` each.
 
         This default assembles each point and calls ``value``.
         """
         return np.array([self.value((q * (1j * row)) @ q.conj().T) for row in phi], dtype=float)
+
+
+def values(func, stack) -> np.ndarray:
+    """``func.values(stack)``; a constraint that has only ``value`` gets the
+    looping default of the ``Constraint`` base."""
+    if hasattr(func, "values"):
+        return func.values(stack)
+    return Constraint.values(func, stack)
 
 
 def spectral_values(func, phi, q) -> np.ndarray:
@@ -171,6 +214,12 @@ class Schatten(Constraint):
             return float(np.max(sv))
         return float(np.sum(sv ** self.p) ** (1.0 / self.p))
 
+    def values(self, stack) -> np.ndarray:
+        sv = np.abs(_hermitian_eigs(stack))
+        if isinf(self.p):
+            return np.max(sv, axis=1)
+        return _scalar_powers(np.sum(sv ** self.p, axis=1), 1.0 / self.p)
+
     def spectral_values(self, phi, q) -> np.ndarray:
         sv = np.abs(phi)
         if isinf(self.p):
@@ -202,6 +251,10 @@ class SpectralRange(Constraint):
     def value(self, a: np.ndarray) -> float:
         w = _hermitian_eigs(a)
         return float(w[-1] - w[0])
+
+    def values(self, stack) -> np.ndarray:
+        w = _hermitian_eigs(stack)
+        return w[:, -1] - w[:, 0]
 
     def spectral_values(self, phi, q) -> np.ndarray:
         return np.max(phi, axis=1) - np.min(phi, axis=1)
@@ -250,6 +303,13 @@ class GroundShiftedMoment(_StateAnchored):
         assert moment > -1e-9, "ground-shifted moment must be non-negative"
         return max(moment, 0.0) ** (1.0 / self.p)
 
+    def values(self, stack) -> np.ndarray:
+        w, v = np.linalg.eigh(1j * stack)
+        amps = np.abs(v.conj().transpose(0, 2, 1) @ self.psi) ** 2
+        moment = _dots(amps, (w - w[:, :1]) ** self.p)
+        assert np.all(moment > -1e-9), "ground-shifted moment must be non-negative"
+        return _scalar_powers(np.maximum(moment, 0.0), 1.0 / self.p)
+
     def spectral_values(self, phi, q) -> np.ndarray:
         w = -phi
         moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
@@ -276,6 +336,14 @@ class EnergyUncertainty(_StateAnchored):
 
     def value(self, a: np.ndarray) -> float:
         return _mean_and_uncertainty(a, self.psi)[1]
+
+    def values(self, stack) -> np.ndarray:
+        # _mean_and_uncertainty per point; conj(x) @ y is the BLAS dot np.vdot takes
+        hpsi = (1j * stack) @ self.psi
+        mean = _dots(self.psi.conj(), hpsi).real
+        var = _dots(hpsi.conj(), hpsi).real - mean * mean
+        assert np.all(var > -1e-9), "variance must be non-negative"
+        return np.sqrt(np.maximum(var, 0.0))
 
     def spectral_values(self, phi, q) -> np.ndarray:
         weights = _state_weights(self.psi, q)
@@ -331,6 +399,11 @@ class Randers(Constraint):
         coords = basis_coords(a)
         return float(np.sqrt(coords @ self.metric @ coords) + self.oneform @ coords)
 
+    def values(self, stack) -> np.ndarray:
+        coords = basis_coords(stack)
+        quad = _dots((coords[:, None, :] @ self.metric)[:, 0], coords)
+        return np.sqrt(quad) + _dots(self.oneform, coords)
+
     def spectral_values(self, phi, q) -> np.ndarray:
         # coords(X_b) = phi_b @ c with c[k, j] = Im((q† T_j q)_kk), since
         # coords_j(X) = -Re tr(T_j X); the metric folds into the n x n Gram c M c^T
@@ -378,6 +451,9 @@ class _Combinator(Constraint):
     def value(self, a) -> float:
         return float(self.combine(self.children[0].value(a), self.children[1].value(a)))
 
+    def values(self, stack) -> np.ndarray:
+        return self.combine(*(values(c, stack) for c in self.children))
+
     def spectral_values(self, phi, q) -> np.ndarray:
         return self.combine(*(spectral_values(c, phi, q) for c in self.children))
 
@@ -405,6 +481,11 @@ class _Mean(_Combinator):
     def __post_init__(self):
         _require_exponent(self.p, self.kind)
         super().__post_init__()
+
+    def values(self, stack) -> np.ndarray:
+        # combine takes scalar powers here, as in value
+        v1, v2 = (values(c, stack).tolist() for c in self.children)
+        return np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes
@@ -490,12 +571,16 @@ def check_homogeneity(func, n: int, trials: int = 100, seed: int = 0) -> Homogen
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        a = random_algebra_element(n, rng)
-        lam = 10.0 * (1.0 - rng.random())  # uniform in (0, 10]
-        scaled = evaluate(func, lam * a, validate=False)
-        direct = lam * evaluate(func, a, validate=False)
-        worst = max(worst, abs(scaled - direct) / (direct + 1e-300))
+    per_stack = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, trials, per_stack):
+        # A, then lambda uniform in (0, 10], per trial: the stream interleaves them
+        elements, scales = zip(*[(random_algebra_element(n, rng), 10.0 * (1.0 - rng.random()))
+                                 for _ in range(min(per_stack, trials - start))])
+        a = np.stack(elements)
+        lam = np.array(scales)
+        scaled = values(func, lam[:, None, None] * a)
+        direct = lam * values(func, a)
+        worst = max(worst, float(np.fmax.reduce(np.abs(scaled - direct) / (direct + 1e-300))))
     return HomogeneityReport(max_relative_deviation=worst, trials=trials, seed=seed)
 
 

@@ -11,8 +11,8 @@ Every branch shares the gate's eigenbasis Q and differs only in its shifted
 angles phi_b, so the branch search never builds a matrix to score a branch:
 one batched ``spectral_values`` call evaluates F on all rows phi_b at once.
 Only the rows within NEAR_TIE of that minimum are assembled and re-evaluated
-with ``value``, which gives the same winner, bit for bit, as evaluating every
-assembled branch.
+with ``values``, which gives the same winner, bit for bit, as evaluating every
+assembled branch with ``value``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import evaluate, require_dim, spectral_values
+from .constraints import evaluate, require_dim, spectral_values, values
 from .errors import (
     InvalidParameterError,
     InvariantViolationError,
@@ -40,6 +40,7 @@ from .linalg import (
     from_coords,
     haar_su,
     principal_log,
+    require_algebra_element,
     _as_rng,
     _eigen_clusters,
 )
@@ -101,7 +102,7 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     The search is spectral: one eigendecomposition of the gate gives every
     branch's shifted angles, and one ``spectral_values`` call scores them all.
     The near-ties of that score (within NEAR_TIE) are assembled, evaluated with
-    ``value``, sorted as ``log_branches`` sorts them, and the first minimum
+    ``values``, sorted as ``log_branches`` sorts them, and the first minimum
     wins, so the result is the one a full sweep over the same branches gives.
 
     For ``unitarily_invariant`` constraints (Schatten, the spectral range and
@@ -117,9 +118,9 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     low = np.min(scores)
     # NaN scores compare False, so they are confirmed too
     near = clusters.sorted_branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
-    values = [evaluate(func, b.value, validate=False) for b in near]
-    best = int(np.argmin(values))
-    f_value = float(values[best])
+    confirmed = values(func, np.stack([b.value for b in near]))
+    best = int(np.argmin(confirmed))
+    f_value = float(confirmed[best])
     if (principal is not None and getattr(func, "unitarily_invariant", False)
             and not np.isclose(f_value, scores[principal], rtol=1e-12, atol=1e-12)):
         raise QslError(
@@ -278,7 +279,11 @@ def action(func, traj: Trajectory) -> float:
     ts = traj.times
     if len(ts) < 2:
         raise TooFewSamplesError(f"need at least 2 samples, got {len(ts)}")
-    vals = np.array([evaluate(func, -1j * h) for h in traj.hamiltonians])
+    stack = -1j * traj.hamiltonians
+    for a in stack:  # as evaluate validates each sample
+        require_algebra_element(a)
+        require_dim(func, len(a))
+    vals = values(func, stack)
     dt = np.diff(ts)
     uniform = bool(np.max(np.abs(dt - dt.mean())) <= 1e-9 * dt.mean())
     if uniform and len(ts) % 2 == 1:

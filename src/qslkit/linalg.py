@@ -414,19 +414,26 @@ def su_basis(n: int) -> np.ndarray:
 
 
 def basis_coords(a) -> np.ndarray:
-    """Real coordinates of an algebra element in the su_basis chart."""
-    a = as_square_matrix(a)
-    basis = su_basis(a.shape[0])
-    return -np.einsum("kij,ji->k", basis, a).real
+    """Real coordinates of an algebra element in the su_basis chart, or one
+    row of them per element of an (m, n, n) stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 3:
+        a = as_square_matrix(a)
+    return -np.einsum("kij,...ji->...k", su_basis(a.shape[-1]), a).real
 
 
 def from_coords(coords, n: int) -> np.ndarray:
-    """Assemble an algebra element from su_basis coordinates."""
+    """Assemble an algebra element from su_basis coordinates, or one element
+    per row of an (m, n**2 - 1) array."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (n * n - 1,):
+    k = n * n - 1
+    if coords.shape[-1:] != (k,) or coords.ndim > 2:
         raise DimensionMismatchError(
-            f"expected {n * n - 1} coordinates for su({n}), got shape {coords.shape}")
-    return np.tensordot(coords, su_basis(n), axes=1)
+            f"expected {k} coordinates for su({n}), got shape {coords.shape}")
+    # a vector-matrix product per element: one matrix product over the whole
+    # stack would round differently from a single element
+    basis = su_basis(n).reshape(k, n * n)
+    return (coords[..., None, :] @ basis).reshape(coords.shape[:-1] + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +456,20 @@ def haar_su(n: int, seed) -> np.ndarray:
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
-    rng = _as_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    return _haar_from_normals(_as_rng(seed).standard_normal((1, 2, n, n)))[0]
+
+
+def _haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """``haar_su``'s map from its draws to SU(n), one gate per (real part,
+    imaginary part) pair of n x n standard normals in the (m, 2, n, n) stack
+    ``g``; each gate has the bits ``haar_su`` gives it from the same draws."""
+    n = g.shape[-1]
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q / np.linalg.det(q) ** (1.0 / n)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    # scalar powers: on an array, ** 0.5 is a square root, which rounds differently
+    return q / np.array([det ** (1.0 / n) for det in np.linalg.det(q)])[:, None, None]
 
 
 def random_algebra_element(n: int, seed, scale: float = 1.0) -> np.ndarray:

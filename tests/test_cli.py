@@ -1,6 +1,8 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,3 +449,55 @@ def test_exit_2_on_out_of_bounds_flag(capsys, monkeypatch, argv, env, field):
     assert code == 2
     assert field in err
     assert "Traceback" not in err
+
+
+def test_invariance_memory_does_not_grow_with_samples(capsys):
+    # F is evaluated on stacks of at most constraints.STACK_ENTRIES matrix
+    # entries; stacking all 20,000 samples would need 5.4 MB for the draws alone
+    run_cli(capsys, "invariance", "--constraint", SCHATTEN2, "--dim", "3", "--samples", "20")
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "invariance", "--constraint", SCHATTEN2, "--dim", "3",
+                               "--samples", "20000", "--output", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["samples"] == 20000
+    assert peak < 2_500_000
+
+
+# sha256 of stdout, recorded when F was evaluated one point at a time: how F
+# is evaluated may change, these reports may not.
+MAX_S2_RANGE = ('{"kind": "max", "children": [{"kind": "schatten", "params": {"p": 2}}, '
+                '{"kind": "op_shifted"}]}')
+ML2_QUBIT = '{"kind": "ml", "params": {"p": 2, "psi": {"dim": 2, "re": [1, 0], "im": [0, 0]}}}'
+MT_HAAR4 = '{"kind": "mt", "params": {"psi": {"dim": 4, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}}}'
+STDOUT_PINS = [
+    (("invariance", "--constraint", MAX_S2_RANGE, "--dim", "3"),
+     "ec3e5f8ded8a96fd2233110838e34465c378aa542a30cc9729436e9d3e9946bc"),
+    (("classify", "--constraint", ML2_QUBIT),
+     "8d6cb8680b18b01cfe3847ca69664793eee0896617a3b7c6a3ce189c57486c4a"),
+    (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "0"),
+     "92cbb2e1936fe954f80fa6b53490dd0b29a4b3244fd7748f535ad382dfed05d3"),
+    (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "1"),
+     "1f13f7a50d3f1c282078f1547f673bba266ef8e51818fcbe1891814d3f1458b1"),
+    (("action", "--constraint", SCHATTEN2, "--trajectory", "traj.json"),
+     "3be4753f8332c79b7e0e8d329bfa255d8dab8005de847503fab5f588f71c66bf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_PINS,
+                         ids=["invariance", "classify", "geodesic-0", "geodesic-1", "action"])
+def test_json_reports_keep_their_bytes(capsys, monkeypatch, tmp_path, argv, digest):
+    monkeypatch.delenv("QSL_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    save_matrix("haar4.json", haar_su(4, seed=2024))
+    ts = np.linspace(0.0, 2.0, 41)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    (tmp_path / "traj.json").write_text(dumps_canonical({"duration": 2.0, "samples": [
+        {"t": float(t), "matrix": matrix_to_json(np.cos(t) * sx + (1.0 + 0.5 * np.sin(t)) * sz)}
+        for t in ts]}))
+    code, out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

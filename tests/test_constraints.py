@@ -27,11 +27,12 @@ from qslkit import (
     check_homogeneity,
     energy_stats,
     evaluate,
+    from_coords,
     gate_time,
     haar_su,
     random_algebra_element,
 )
-from qslkit.constraints import spectral_values
+from qslkit.constraints import spectral_values, values
 from qslkit.geometry import INVARIANCE_THRESHOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -348,3 +349,46 @@ def test_spectral_values_match_value_on_assembled_points(point):
         for row, value in zip(phi, got):
             want = func.value((q * (1j * row)) @ q.conj().T)
             assert abs(value ** power - want ** power) <= 1e-12 * (want ** power + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def stacks(draw):
+    """(m, n, n) stacks of 1 to 8 algebra elements at n = 2 to 6; coordinates
+    in [-10, 10], zeros and repeated eigenvalues included."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    return from_coords(draw(arrays(np.float64, (m, n * n - 1), elements=st.floats(-10.0, 10.0))), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+def test_values_match_value_bit_for_bit(stack):
+    for func in catalog(stack.shape[1]) + [SpectrumNorm()]:
+        got = values(func, stack)
+        assert got.shape == (len(stack),)
+        assert np.array_equal(got, [func.value(a) for a in stack]), func
+
+
+def homogeneity_loop(func, n, trials, seed):
+    """check_homogeneity's deviation with one evaluate per point, the loop the
+    stacked sweep replaced."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        a = random_algebra_element(n, rng)
+        lam = 10.0 * (1.0 - rng.random())
+        scaled = evaluate(func, lam * a, validate=False)
+        direct = lam * evaluate(func, a, validate=False)
+        worst = max(worst, abs(scaled - direct) / (direct + 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("n,trials", [(2, 40), (6, 300)])  # n = 6 spans two stacks
+def test_check_homogeneity_matches_the_per_trial_loop(n, trials):
+    for func in catalog(n) + [SpectrumNorm()]:
+        rep = check_homogeneity(func, n, trials=trials, seed=3)
+        assert rep.max_relative_deviation == homogeneity_loop(func, n, trials, 3), func

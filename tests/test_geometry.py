@@ -95,6 +95,14 @@ def test_invariance_deterministic_for_fixed_seed():
     assert r1 == r2
 
 
+def test_invariance_reports_integral_seeds():
+    rep = check_ad_invariance(Schatten(p=2), 3, samples=5, seed=np.int64(5))
+    assert rep.seed == 5 and type(rep.seed) is int
+    assert rep == check_ad_invariance(Schatten(p=2), 3, samples=5, seed=5)
+    assert check_ad_invariance(Schatten(p=2), 3, samples=5,
+                               seed=np.random.default_rng(5)).seed == -1
+
+
 def test_classification_line_matches_summary_table():
     rep = check_ad_invariance(Schatten(p=2), 2, samples=20, seed=0)
     assert classification_line(rep) == (
