@@ -27,33 +27,34 @@ GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
                          degree-1 functionals would be degree 2, so the
                          exponent halves it back.
 
-Each class carries its own facts; the ``Constraint`` base holds the defaults
-(no ``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
-``kink_margin`` inf, ``values`` by calling ``value`` on each point, and
-``spectral_values`` by assembling each point).  A custom constraint still
-needs only ``value(a)``: the module functions ``values`` and
-``spectral_values`` give it the looping defaults.  Subclass ``Constraint`` to
-also serve ``geometry.kink_margin`` and its probe sampler.  ``KINDS`` maps
-each ``kind`` to its class, whose dataclass fields are its ``jsonio`` format.
+Every constraint is a ``Constraint``: the base holds the defaults (no
+``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
+``kink_margin`` inf) and each class overrides where it differs.  ``KINDS``
+maps each ``kind`` to its class, whose dataclass fields are its ``jsonio``
+format.
 
-``values(stack)`` is the batched form for points that share nothing: F at
-each matrix of an (m, n, n) stack, with one stacked LAPACK call where
-``value`` makes one per point, and the same bits as ``value`` on every point.
-The sampled checks and the finite-difference stencils in ``geometry``, the
-homogeneity check and ``gatetime.action`` evaluate F this way.  Where
-``value`` takes a power of a scalar, ``values`` takes it point by point too:
-numpy's array power rounds differently from the scalar one.
+Each catalog class states F once, in ``values(stack)``: F at each matrix of
+an (m, n, n) stack of points that share nothing, with one stacked LAPACK call
+for the stack.  A stack of m gives the bits of m stacks of one, and the
+base's ``value(a)`` is ``values`` on a stack of one.  A custom constraint may
+define ``value`` alone instead; the base's ``values`` then calls it on each
+point.  Where F takes a power of a scalar, ``values`` takes it point by point
+in scalar arithmetic, since numpy's array power rounds differently, and a
+power that overflows raises InvalidParameterError naming its exponent.  The
+sampled checks and the finite-difference stencils in ``geometry``, the
+homogeneity check and ``gatetime.action`` evaluate F this way.
 
-``spectral_values(phi, q)`` is the batched form for points that share an
-eigenbasis: F at every
-X_b = q diag(1j*phi_b) q† for the rows phi_b of ``phi`` and one unitary q.
+``spectral_values(phi, q)`` is the eigenbasis form, for points that share
+one: F at every X_b = q diag(1j*phi_b) q† for the rows phi_b of ``phi`` and
+one unitary q.
 The Hamiltonian 1j*X_b has eigenvalues -phi_b on the columns of q, so every
 atom reads its value off those rows (Lewis, "Derivatives of spectral
 functions", Math. Oper. Res. 1996): the Schatten norms and the spectral range
 from the angles alone, the state-anchored moments with the weights
 |q† psi|**2, and Randers through the linear map from phi to su coordinates.
 Branch search in ``gatetime.gate_time`` scores all logarithm branches of a gate
-this way, since they share one eigenbasis.
+this way, since they share one eigenbasis.  A class without it gets the
+base's default, which assembles the points and calls ``values`` once.
 """
 
 from __future__ import annotations
@@ -99,14 +100,19 @@ def _hermitian_eigs(a: np.ndarray) -> np.ndarray:
 
 
 def _scalar_powers(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e entry by entry in scalar arithmetic, as ``value`` computes it."""
-    return np.array([v ** e for v in x.tolist()], dtype=float)
+    """x ** e entry by entry as a scalar power, since numpy's array power
+    rounds differently (on an array, ** 0.5 is a square root); an overflow
+    raises InvalidParameterError naming the exponent."""
+    try:
+        return np.array([v ** e for v in x.tolist()], dtype=float)
+    except OverflowError:
+        raise InvalidParameterError(f"power with exponent {e} overflows a float") from None
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x_i @ y_i for each row y_i of y, with x one vector or one row per y_i:
-    a (1, n) @ (n, 1) product is the BLAS dot that the vector product in
-    ``value`` takes, where einsum sums in another order."""
+    a (1, n) @ (n, 1) product is the BLAS dot of two vectors, where einsum
+    sums in another order."""
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
@@ -117,7 +123,7 @@ def _require_exponent(p: float, what: str) -> None:
 
 def require_dim(func, n: int) -> None:
     """Raise DimensionMismatchError unless ``func`` accepts n x n arguments."""
-    want = getattr(func, "dim", None)
+    want = func.dim
     if want is not None and want != n:
         raise DimensionMismatchError(f"constraint expects dimension {want}, got dimension {n}")
 
@@ -137,6 +143,9 @@ class Constraint:
     ground eigenvector of 1j*X (the state-anchored moments), and None when F
     varies in any other way.  ``gatetime.conj_min_time`` reads its orbit
     minimum off this in closed form when every state is the same.
+
+    A subclass defines F through ``values`` or, for a custom constraint,
+    through ``value`` alone; each defaults to the other.
     """
 
     kind: str
@@ -156,35 +165,24 @@ class Constraint:
         """
         return inf
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
-        """F at each matrix of an (m, n, n) stack, bit for bit as ``value``.
+    def value(self, a: np.ndarray) -> float:
+        """F at one matrix: ``values`` on a stack of one."""
+        return float(self.values(a[None])[0])
 
-        This default calls ``value`` on each point.
+    def values(self, stack: np.ndarray) -> np.ndarray:
+        """F at each matrix of an (m, n, n) stack.
+
+        Every catalog class defines this; the default, for a constraint that
+        defines ``value`` alone, calls ``value`` on each point.
         """
         return np.array([self.value(a) for a in stack], dtype=float)
 
     def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F at every X_b = q diag(1j*phi_b) q†, one row phi_b of ``phi`` each.
 
-        This default assembles each point and calls ``value``.
+        This default assembles all points and makes one ``values`` call.
         """
-        return np.array([self.value((q * (1j * row)) @ q.conj().T) for row in phi], dtype=float)
-
-
-def values(func, stack) -> np.ndarray:
-    """``func.values(stack)``; a constraint that has only ``value`` gets the
-    looping default of the ``Constraint`` base."""
-    if hasattr(func, "values"):
-        return func.values(stack)
-    return Constraint.values(func, stack)
-
-
-def spectral_values(func, phi, q) -> np.ndarray:
-    """``func.spectral_values(phi, q)``; a constraint that has only ``value``
-    gets the assembling default of the ``Constraint`` base."""
-    if hasattr(func, "spectral_values"):
-        return func.spectral_values(phi, q)
-    return Constraint.spectral_values(func, phi, q)
+        return self.values((q * (1j * phi[:, None, :])) @ q.conj().T)
 
 
 def _state_weights(psi, q) -> np.ndarray:
@@ -207,12 +205,6 @@ class Schatten(Constraint):
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise InvalidParameterError(f"Schatten exponent must be >= 1, got {self.p}")
-
-    def value(self, a: np.ndarray) -> float:
-        sv = np.abs(_hermitian_eigs(a))
-        if isinf(self.p):
-            return float(np.max(sv))
-        return float(np.sum(sv ** self.p) ** (1.0 / self.p))
 
     def values(self, stack) -> np.ndarray:
         sv = np.abs(_hermitian_eigs(stack))
@@ -247,10 +239,6 @@ class SpectralRange(Constraint):
 
     kind = "op_shifted"
     unitarily_invariant = True
-
-    def value(self, a: np.ndarray) -> float:
-        w = _hermitian_eigs(a)
-        return float(w[-1] - w[0])
 
     def values(self, stack) -> np.ndarray:
         w = _hermitian_eigs(stack)
@@ -296,18 +284,11 @@ class GroundShiftedMoment(_StateAnchored):
         _require_exponent(self.p, "moment")
         super().__post_init__()
 
-    def value(self, a: np.ndarray) -> float:
-        w, v = np.linalg.eigh(1j * a)
-        amps = np.abs(v.conj().T @ self.psi) ** 2
-        moment = float(amps @ (w - w[0]) ** self.p)
-        assert moment > -1e-9, "ground-shifted moment must be non-negative"
-        return max(moment, 0.0) ** (1.0 / self.p)
-
     def values(self, stack) -> np.ndarray:
         w, v = np.linalg.eigh(1j * stack)
         amps = np.abs(v.conj().transpose(0, 2, 1) @ self.psi) ** 2
         moment = _dots(amps, (w - w[:, :1]) ** self.p)
-        assert np.all(moment > -1e-9), "ground-shifted moment must be non-negative"
+        assert (moment > -1e-9).all(), "ground-shifted moment must be non-negative"
         return _scalar_powers(np.maximum(moment, 0.0), 1.0 / self.p)
 
     def spectral_values(self, phi, q) -> np.ndarray:
@@ -318,15 +299,6 @@ class GroundShiftedMoment(_StateAnchored):
     kink_margin = SpectralRange.kink_margin  # the ground eigenvector jumps at collisions
 
 
-def _mean_and_uncertainty(a: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
-    """Mean and standard deviation of H = 1j*A in the state psi."""
-    hpsi = (1j * a) @ psi
-    mean = float(np.vdot(psi, hpsi).real)
-    var = float(np.vdot(hpsi, hpsi).real) - mean * mean
-    assert var > -1e-9, "variance must be non-negative"
-    return mean, float(np.sqrt(max(var, 0.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class EnergyUncertainty(_StateAnchored):
     """Standard deviation of the Hamiltonian in a reference state."""
@@ -334,16 +306,17 @@ class EnergyUncertainty(_StateAnchored):
     psi: np.ndarray
     kind = "mt"
 
-    def value(self, a: np.ndarray) -> float:
-        return _mean_and_uncertainty(a, self.psi)[1]
-
-    def values(self, stack) -> np.ndarray:
-        # _mean_and_uncertainty per point; conj(x) @ y is the BLAS dot np.vdot takes
+    def moments(self, stack) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard deviation of H = 1j*A in psi for each A of a stack."""
+        # conj(x) @ y is the BLAS dot np.vdot takes
         hpsi = (1j * stack) @ self.psi
         mean = _dots(self.psi.conj(), hpsi).real
         var = _dots(hpsi.conj(), hpsi).real - mean * mean
-        assert np.all(var > -1e-9), "variance must be non-negative"
-        return np.sqrt(np.maximum(var, 0.0))
+        assert (var > -1e-9).all(), "variance must be non-negative"
+        return mean, np.sqrt(np.maximum(var, 0.0))
+
+    def values(self, stack) -> np.ndarray:
+        return self.moments(stack)[1]
 
     def spectral_values(self, phi, q) -> np.ndarray:
         weights = _state_weights(self.psi, q)
@@ -376,6 +349,8 @@ class Randers(Constraint):
         if oneform.shape != (metric.shape[0],):
             raise DimensionMismatchError(
                 f"oneform shape {oneform.shape} does not match metric {metric.shape}")
+        if not (np.isfinite(metric).all() and np.isfinite(oneform).all()):
+            raise InvalidParameterError("metric and oneform must be finite")
         if float(np.max(np.abs(metric - metric.T))) > 1e-10:
             raise InvalidParameterError("metric must be symmetric")
         eigs = np.linalg.eigvalsh(metric)
@@ -395,13 +370,9 @@ class Randers(Constraint):
     def dim(self) -> Optional[int]:
         return int(round(np.sqrt(self.metric.shape[0] + 1)))
 
-    def value(self, a: np.ndarray) -> float:
-        coords = basis_coords(a)
-        return float(np.sqrt(coords @ self.metric @ coords) + self.oneform @ coords)
-
     def values(self, stack) -> np.ndarray:
         coords = basis_coords(stack)
-        quad = _dots((coords[:, None, :] @ self.metric)[:, 0], coords)
+        quad = (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
         return np.sqrt(quad) + _dots(self.oneform, coords)
 
     def spectral_values(self, phi, q) -> np.ndarray:
@@ -440,22 +411,19 @@ class _Combinator(Constraint):
     def unitarily_invariant(self) -> bool:
         # every combine is nondecreasing in both arguments, so a branch that
         # is minimal for both children is minimal for the combination
-        return all(getattr(c, "unitarily_invariant", False) for c in self.children)
+        return all(c.unitarily_invariant for c in self.children)
 
     @property
     def orbit_states(self) -> Optional[tuple]:
         # nondecreasing combines again: V minimizing every child minimizes the tree
-        states = [getattr(c, "orbit_states", None) for c in self.children]
+        states = [c.orbit_states for c in self.children]
         return None if any(s is None for s in states) else sum(states, ())
 
-    def value(self, a) -> float:
-        return float(self.combine(self.children[0].value(a), self.children[1].value(a)))
-
     def values(self, stack) -> np.ndarray:
-        return self.combine(*(values(c, stack) for c in self.children))
+        return self.combine(*(c.values(stack) for c in self.children))
 
     def spectral_values(self, phi, q) -> np.ndarray:
-        return self.combine(*(spectral_values(c, phi, q) for c in self.children))
+        return self.combine(*(c.spectral_values(phi, q) for c in self.children))
 
     def kink_margin(self, a, w) -> float:
         return min(c.kink_margin(a, w) for c in self.children)
@@ -483,9 +451,13 @@ class _Mean(_Combinator):
         super().__post_init__()
 
     def values(self, stack) -> np.ndarray:
-        # combine takes scalar powers here, as in value
-        v1, v2 = (values(c, stack).tolist() for c in self.children)
-        return np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
+        # combine on Python floats: scalar powers, as _scalar_powers takes them
+        v1, v2 = (c.values(stack).tolist() for c in self.children)
+        try:
+            return np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{self.kind} exponent p = {self.p} overflows a float") from None
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes
@@ -546,9 +518,8 @@ KINDS = {cls.kind: cls for cls in (Schatten, SpectralRange, GroundShiftedMoment,
 def evaluate(func, a, validate: bool = True) -> float:
     """Evaluate a constraint functional on an algebra element.
 
-    ``func`` is any object with a ``value(A)`` method and an optional ``dim``;
-    the catalog classes above all qualify.  With ``validate`` the input is
-    checked to be a traceless anti-Hermitian matrix of matching dimension.
+    ``func`` is a ``Constraint``.  With ``validate`` the input is checked to
+    be a traceless anti-Hermitian matrix of matching dimension.
     """
     a = np.asarray(a, dtype=np.complex128)
     if validate:
@@ -578,8 +549,8 @@ def check_homogeneity(func, n: int, trials: int = 100, seed: int = 0) -> Homogen
                                  for _ in range(min(per_stack, trials - start))])
         a = np.stack(elements)
         lam = np.array(scales)
-        scaled = values(func, lam[:, None, None] * a)
-        direct = lam * values(func, a)
+        scaled = func.values(lam[:, None, None] * a)
+        direct = lam * func.values(a)
         worst = max(worst, float(np.fmax.reduce(np.abs(scaled - direct) / (direct + 1e-300))))
     return HomogeneityReport(max_relative_deviation=worst, trials=trials, seed=seed)
 
@@ -597,11 +568,11 @@ class EnergyStats:
 def energy_stats(a, psi) -> EnergyStats:
     """Ground/top eigenvalues of H = 1j*A plus mean and standard deviation in psi."""
     a = require_algebra_element(a)
-    psi = require_state(psi)
-    if len(psi) != a.shape[0]:
+    func = EnergyUncertainty(psi=psi)
+    if func.dim != a.shape[0]:
         raise DimensionMismatchError(
-            f"state dimension {len(psi)} does not match matrix dimension {a.shape[0]}")
+            f"state dimension {func.dim} does not match matrix dimension {a.shape[0]}")
     w = _hermitian_eigs(a)
-    mean, uncertainty = _mean_and_uncertainty(a, psi)
+    (mean,), (uncertainty,) = func.moments(a[None])
     return EnergyStats(ground=float(w[0]), top=float(w[-1]),
-                       expectation=mean, uncertainty=uncertainty)
+                       expectation=float(mean), uncertainty=float(uncertainty))

@@ -12,7 +12,7 @@ angles phi_b, so the branch search never builds a matrix to score a branch:
 one batched ``spectral_values`` call evaluates F on all rows phi_b at once.
 Only the rows within NEAR_TIE of that minimum are assembled and re-evaluated
 with ``values``, which gives the same winner, bit for bit, as evaluating every
-assembled branch with ``value``.
+assembled branch.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import evaluate, require_dim, spectral_values, values
+from .constraints import require_dim
 from .errors import (
+    DimensionMismatchError,
     InvalidParameterError,
     InvariantViolationError,
     OptimizerDidNotConvergeError,
@@ -32,6 +33,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .linalg import (
+    ALGEBRA_ATOL,
     TWO_PI,
     UNITARY_ATOL,
     LogBranch,
@@ -40,13 +42,12 @@ from .linalg import (
     from_coords,
     haar_su,
     principal_log,
-    require_algebra_element,
     _as_rng,
     _eigen_clusters,
 )
 
 # Derivative-free search defaults, for the F whose conjugation minimum has no
-# closed form (Randers leaves, states that differ, duck-typed F): simplex
+# closed form (Randers leaves, states that differ, custom F): simplex
 # diameter convergence and a hard iteration cap; the objective may be
 # non-smooth (max/min combinators, spectral degeneracies), so gradient
 # methods are not used.
@@ -55,7 +56,7 @@ SIMPLEX_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
 
 # Branches whose batched spectral value is within NEAR_TIE * (1 + |min|) of the
-# minimum are confirmed with ``value``; the two forms agree to about 1e-14.
+# minimum are confirmed with ``values``; the two forms agree to about 1e-14.
 NEAR_TIE = 1e-9
 
 @dataclass(frozen=True)
@@ -113,15 +114,15 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     clusters = _eigen_clusters(gate, atol=atol)
     require_dim(func, len(clusters.angles))
     shifts, principal = clusters.search_shifts(n_max)
-    scores = spectral_values(func, clusters.angles + TWO_PI * shifts,
-                             clusters.decomposition.eigenvectors)
+    scores = func.spectral_values(clusters.angles + TWO_PI * shifts,
+                                  clusters.decomposition.eigenvectors)
     low = np.min(scores)
     # NaN scores compare False, so they are confirmed too
     near = clusters.sorted_branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
-    confirmed = values(func, np.stack([b.value for b in near]))
+    confirmed = func.values(np.stack([b.value for b in near]))
     best = int(np.argmin(confirmed))
     f_value = float(confirmed[best])
-    if (principal is not None and getattr(func, "unitarily_invariant", False)
+    if (principal is not None and func.unitarily_invariant
             and not np.isclose(f_value, scores[principal], rtol=1e-12, atol=1e-12)):
         raise QslError(
             "internal consistency failure: principal branch is not "
@@ -147,7 +148,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     runs: an invariant F is constant on the orbit (V = I), and a tree whose
     state-anchored leaves share psi has every such leaf, and so the tree, at
     its minimum where V maps the ground eigenvector of 1j*X onto psi.  Otherwise
-    (Randers leaves, leaves on different states, duck-typed F) V is charted as
+    (Randers leaves, leaves on different states, custom F) V is charted as
     exp(sum_i c_i T_i) over the su basis and minimized by multi-start
     Nelder-Mead; the identity chart point is always one start, so the result
     can never exceed the plain branch value.
@@ -160,10 +161,10 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     n = len(x)
     require_dim(func, n)
     rng = _as_rng(seed)
-    states = getattr(func, "orbit_states", None)
+    states = func.orbit_states
     if states is not None and all(np.array_equal(s, states[0]) for s in states):
         conjugator = _orbit_minimizer(x, states[0] if states else None)
-        f_value = evaluate(func, conjugator @ x @ conjugator.conj().T, validate=False)
+        f_value = func.value(conjugator @ x @ conjugator.conj().T)
         return SpeedLimitResult(
             time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
             kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
@@ -172,7 +173,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
 
     def objective(coords: np.ndarray) -> float:
         v = expm(from_coords(coords, n))
-        return evaluate(func, v @ x @ v.conj().T, validate=False)
+        return func.value(v @ x @ v.conj().T)
 
     starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
                                       for _ in range(restarts - 1)]
@@ -242,6 +243,8 @@ class Trajectory:
         duration = float(self.duration)
         if times.ndim != 1 or hams.ndim != 3 or hams.shape[0] != len(times):
             raise InvalidParameterError("need matching 1-d times and a stack of matrices")
+        if hams.shape[1] != hams.shape[2]:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {hams.shape[1:]}")
         if len(times) < 2:
             raise TooFewSamplesError(f"need at least 2 samples, got {len(times)}")
         if not np.all(np.diff(times) > 0):
@@ -277,13 +280,17 @@ def action(func, traj: Trajectory) -> float:
     kappa times the duration, independent of parametrization.
     """
     ts = traj.times
-    if len(ts) < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {len(ts)}")
+    # Trajectory bounds the samples' anti-Hermiticity; the traces are checked
+    # here, as evaluate checks them, sample 0's before the shared dimension
     stack = -1j * traj.hamiltonians
-    for a in stack:  # as evaluate validates each sample
-        require_algebra_element(a)
-        require_dim(func, len(a))
-    vals = values(func, stack)
+    traces = np.trace(stack, axis1=1, axis2=2)
+    traceless = np.abs(traces) <= ALGEBRA_ATOL
+    if traceless[0]:
+        require_dim(func, stack.shape[1])
+    if not traceless.all():
+        tr = complex(traces[np.argmin(traceless)])
+        raise InvariantViolationError(f"matrix is not traceless: tr = {tr:.3e}")
+    vals = func.values(stack)
     dt = np.diff(ts)
     uniform = bool(np.max(np.abs(dt - dt.mean())) <= 1e-9 * dt.mean())
     if uniform and len(ts) % 2 == 1:

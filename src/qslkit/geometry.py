@@ -106,13 +106,13 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
         z = rng.standard_normal((size, 2 * k + 2 * n * n if is_norm else k + 2 * n * n))
         a = from_coords(z[:, :k], n)
         v = _haar_from_normals(z[:, k:k + 2 * n * n].reshape(size, 2, n, n))
-        fa = con.values(func, a)
-        fconj = con.values(func, v @ a @ v.conj().transpose(0, 2, 1))
+        fa = func.values(a)
+        fconj = func.values(v @ a @ v.conj().transpose(0, 2, 1))
         if is_norm:
             b = from_coords(z[:, k + 2 * n * n:], n)
-            fb = con.values(func, b)
-            fneg = con.values(func, -a)
-            fsum = con.values(func, a + b)
+            fb = func.values(b)
+            fneg = func.values(-a)
+            fsum = func.values(a + b)
             scale = 1.0 + fa + fb
             fails = (np.abs(fneg - fa) > norm_slack * scale) | (fsum > fa + fb + norm_slack * scale)
             if fails.any():
@@ -168,7 +168,7 @@ def _tensor_estimates(func, probe: TensorProbe, u: np.ndarray, vs: np.ndarray,
         points = [corner for step in (h, h / 2.0)
                   for side in (base + step * u, base - step * u)
                   for corner in (side + step * chunk, side - step * chunk)]
-        fsq = con._scalar_powers(con.values(func, np.concatenate(points)), 2)
+        fsq = con._scalar_powers(func.values(np.concatenate(points)), 2)
         upp, upm, ump, umm = fsq.reshape(2, 4, len(chunk)).transpose(1, 0, 2)
         g.append(0.5 * ((upp - upm - ump + umm) / (4.0 * steps * steps)))
     g_full, g_half = np.concatenate(g, axis=1)
@@ -193,7 +193,7 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v,
         raise DimensionMismatchError(
             f"direction shapes {u.shape}/{v.shape} do not match base {base.shape}")
     con.require_dim(func, base.shape[0])
-    f0 = con.evaluate(func, base, validate=False)
+    f0 = func.value(base)
     if not f0 > 0.0:
         raise InvalidParameterError(
             "fundamental tensor is undefined where F vanishes (origin of a "
@@ -231,7 +231,7 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
     candidate time-optimal drive."""
     x = require_algebra_element(x)
     con.require_dim(func, x.shape[0])
-    fx = con.evaluate(func, x, validate=False)
+    fx = func.value(x)
     if not fx > 0.0:
         raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
     probe = TensorProbe(base=x, step=step)

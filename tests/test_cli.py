@@ -304,7 +304,9 @@ def randers_spec(metric_diag, oneform):
 @pytest.mark.parametrize("spec,message", [
     (randers_spec([1.0, -1.0, 1.0], [0, 0, 0]), "metric must be positive definite"),
     (randers_spec([1.0, 1.0, 1.0], [0.8, 0.8, 0]), "oneform too large for positivity"),
-], ids=["metric", "oneform"])
+    (randers_spec([1.0, float("nan"), 1.0], [0, 0, 0]), "metric and oneform must be finite"),
+    (randers_spec([1.0, 1.0, 1.0], [0, float("inf"), 0]), "metric and oneform must be finite"),
+], ids=["metric", "oneform", "metric-nan", "oneform-inf"])
 def test_exit_2_on_randers_outside_its_domain(capsys, spec, message):
     code, _, err = run_cli(capsys, "time", "--gate", "qft:2", "--constraint", spec)
     assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qslkit import (
+    Constraint,
     DimensionMismatchError,
     EnergyUncertainty,
     GeometricMean,
@@ -32,7 +33,6 @@ from qslkit import (
     haar_su,
     random_algebra_element,
 )
-from qslkit.constraints import spectral_values, values
 from qslkit.geometry import INVARIANCE_THRESHOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,10 +140,7 @@ def test_homogeneity_ground_moment():
 
 def test_homogeneity_negative_control():
     # a product of two degree-1 functionals is degree 2 and must be flagged
-    class DegreeTwoProduct:
-        children = ()
-        dim = None
-
+    class DegreeTwoProduct(Constraint):
         def value(self, a):
             return Schatten(p=2).value(a) * SpectralRange().value(a)
 
@@ -244,7 +241,7 @@ def test_unitarily_invariant_marks_spectral_atoms_and_their_combinators():
 
 def test_orbit_states_name_the_anchoring_states_of_the_tree():
     # () for functions of the spectrum, the state for ml and mt, concatenated
-    # through combinators, and None wherever a Randers leaf or a duck-typed
+    # through combinators, and None wherever a Randers leaf or a custom
     # constraint enters the tree
     psi, other = basis_state(3), basis_state(3, 1)
 
@@ -278,18 +275,17 @@ def test_invariant_catalog_is_homogeneous_and_conjugation_invariant(n, seed, lam
         assert abs(evaluate(func, v @ a @ v.conj().T) - fa) <= INVARIANCE_THRESHOLD * fa, func
 
 
-class SpectrumNorm:
-    """Duck-typed constraint: value, children and dim, no Constraint base."""
-
-    children = ()
-    dim = None
+class SpectrumNorm(Constraint):
+    """Custom constraint that defines ``value`` alone and inherits the rest."""
 
     def value(self, a):
         return Schatten(p=2).value(a)
 
 
-def test_duck_typed_constraint_works_without_base_class():
+def test_value_only_subclass_gets_the_looping_defaults():
     a = random_algebra_element(3, np.random.default_rng(4))
+    stack = np.stack([a, 2.0 * a])
+    assert np.array_equal(SpectrumNorm().values(stack), Schatten(p=2).values(stack))
     assert evaluate(SpectrumNorm(), a) == evaluate(Schatten(p=2), a)
     gate = haar_su(3, seed=6)
     assert gate_time(SpectrumNorm(), 1.0, gate, n_max=1).f_value == \
@@ -344,7 +340,7 @@ def test_spectral_values_match_value_on_assembled_points(point):
     for func in catalog(n) + [SpectrumNorm()]:
         kind = getattr(func, "kind", "")
         power = {"ml": getattr(func, "p", 1.0), "mt": 2.0, "geomean": 2.0}.get(kind, 1.0)
-        got = spectral_values(func, phi, q)
+        got = func.spectral_values(phi, q)
         assert got.shape == (len(phi),)
         for row, value in zip(phi, got):
             want = func.value((q * (1j * row)) @ q.conj().T)
@@ -367,8 +363,10 @@ def stacks(draw):
 @settings(max_examples=80, deadline=None)
 @given(stacks())
 def test_values_match_value_bit_for_bit(stack):
+    # value is values on a stack of one, so this pins that a stack of m gives
+    # the bits of m stacks of one, which the chunked sweeps rely on
     for func in catalog(stack.shape[1]) + [SpectrumNorm()]:
-        got = values(func, stack)
+        got = func.values(stack)
         assert got.shape == (len(stack),)
         assert np.array_equal(got, [func.value(a) for a in stack]), func
 

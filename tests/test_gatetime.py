@@ -283,22 +283,22 @@ def test_default_gate_time_is_principal_for_invariant_constraints(n, seed, pick)
 
 
 class CountingSchatten(Schatten):
-    """Schatten norm that counts its ``value`` calls."""
+    """Schatten norm that counts the points its ``values`` evaluates."""
 
-    calls = []
+    points = []
 
-    def value(self, a):
-        CountingSchatten.calls.append(1)
-        return super().value(a)
+    def values(self, stack):
+        CountingSchatten.points.append(len(stack))
+        return super().values(stack)
 
 
 def test_gate_time_assembles_only_near_winners():
     # the batched spectral score ranks all 381 branches; only its near-ties
     # are assembled and evaluated
-    CountingSchatten.calls.clear()
+    CountingSchatten.points.clear()
     res = gate_time(CountingSchatten(p=2), 1.0, haar_su(5, seed=3), n_max=2)
     assert res.diagnostics.branches_considered == 381
-    assert len(CountingSchatten.calls) <= 4
+    assert 1 <= sum(CountingSchatten.points) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,9 @@ def test_conj_min_against_grid_oracle():
     assert res.time <= oracle + 1e-9
 
 
-class Opaque:
-    """Forwards ``value`` and ``dim`` and nothing else, so conj_min_time has
-    no ``orbit_states`` to read and runs its search."""
+class Opaque(Constraint):
+    """Forwards ``value`` and ``dim`` and nothing else, so its ``orbit_states``
+    is the base's None and conj_min_time runs its search."""
 
     def __init__(self, func):
         self.func = func

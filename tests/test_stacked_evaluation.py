@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qslkit import (
+    DimensionMismatchError,
     InvariantViolationError,
     Schatten,
     Trajectory,
@@ -33,12 +34,9 @@ from qslkit.geometry import FD_STEP, GEODESIC_THRESHOLD, NORM_SLACK
 from test_constraints import SpectrumNorm, catalog
 
 
-class LopsidedNorm:
-    """Duck-typed F: the Frobenius norm, half as large again where H = 1j*A
-    has Re H[0, 1] > 1.5, so F(-A) = F(A) first fails after the first sample."""
-
-    children = ()
-    dim = None
+class LopsidedNorm(constraints.Constraint):
+    """Custom F: the Frobenius norm, half as large again where H = 1j*A has
+    Re H[0, 1] > 1.5, so F(-A) = F(A) first fails after the first sample."""
 
     def value(self, a):
         return (1.5 if (1j * a)[0, 1].real > 1.5 else 1.0) * float(np.linalg.norm(a))
@@ -217,3 +215,24 @@ def test_action_validates_each_sample_as_the_loop(func):
         action(func, bad)
     if isinstance(func, Schatten):
         assert want.type is InvariantViolationError
+
+
+@pytest.mark.parametrize("sample", [0, 4])
+def test_action_checks_sample_0_trace_before_the_dimension(sample):
+    # the loop validated sample 0 fully before any other, so a non-traceless
+    # sample 0 is named ahead of a dimension mismatch, and a later one after it
+    func = constraints.EnergyUncertainty(psi=basis_state(3))
+    traj = trajectory(5)
+    hams = traj.hamiltonians.copy()
+    hams[sample] += 0.5 * np.eye(2)
+    bad = Trajectory(times=traj.times, hamiltonians=hams, duration=traj.duration)
+    with pytest.raises(Exception) as want:
+        action_loop(func, bad)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        action(func, bad)
+    assert want.type is (InvariantViolationError if sample == 0 else DimensionMismatchError)
+
+
+def test_trajectory_rejects_non_square_samples():
+    with pytest.raises(DimensionMismatchError, match=re.escape("expected a square matrix, got shape (2, 3)")):
+        Trajectory(times=[0.0, 1.0], hamiltonians=np.zeros((2, 2, 3)), duration=1.0)
