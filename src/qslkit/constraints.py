@@ -39,8 +39,9 @@ for the stack.  A stack of m gives the bits of m stacks of one, and the
 base's ``value(a)`` is ``values`` on a stack of one.  A custom constraint may
 define ``value`` alone instead; the base's ``values`` then calls it on each
 point.  Where F takes a power of a scalar, ``values`` takes it point by point
-in scalar arithmetic, since numpy's array power rounds differently, and a
-power that overflows raises InvalidParameterError naming its exponent.  The
+in scalar arithmetic, since numpy's array power rounds differently.  A power
+that overflows, or in Schatten and ``ml`` underflows to 0 from a nonzero
+value, raises InvalidParameterError naming its exponent.  The
 sampled checks and the finite-difference stencils in ``geometry``, the
 homogeneity check and ``gatetime.action`` evaluate F this way.
 
@@ -76,13 +77,13 @@ STATE_ATOL = 1e-12
 STACK_ENTRIES = 8192
 
 
-def require_state(psi, atol: float = STATE_ATOL) -> np.ndarray:
-    """Validate a unit-norm complex state vector."""
+def require_state(psi) -> np.ndarray:
+    """Validate a unit-norm complex state vector (within STATE_ATOL)."""
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1:
         raise DimensionMismatchError(f"state must be a 1-d array, got shape {psi.shape}")
     norm = float(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= atol:
+    if not abs(norm - 1.0) <= STATE_ATOL:
         raise InvariantViolationError(f"state is not normalized: <psi|psi> = {norm:.17g}")
     return psi
 
@@ -101,12 +102,26 @@ def _hermitian_eigs(a: np.ndarray) -> np.ndarray:
 
 def _scalar_powers(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry as a scalar power, since numpy's array power
-    rounds differently (on an array, ** 0.5 is a square root); an overflow
-    raises InvalidParameterError naming the exponent."""
+    rounds differently (on an array, ** 0.5 is a square root); for e > 1, the
+    only case where a finite power leaves the float range, the range is checked."""
     try:
-        return np.array([v ** e for v in x.tolist()], dtype=float)
+        out = np.array([v ** e for v in x.tolist()], dtype=float)
     except OverflowError:
-        raise InvalidParameterError(f"power with exponent {e} overflows a float") from None
+        out = np.array([inf])
+    if e > 1.0:
+        _require_representable(out, x, f"power with exponent {e}")
+    return out
+
+
+def _require_representable(y: np.ndarray, x: np.ndarray, what: str) -> None:
+    """Raise InvalidParameterError naming ``what`` unless each y, a power of
+    the entries of x in its row, is finite, and nonzero where x is nonzero."""
+    if 0.0 < y.min(initial=inf) and y.max(initial=0.0) < inf:  # the common case
+        return
+    if not np.isfinite(y).all():
+        raise InvalidParameterError(f"{what} overflows a float")
+    if ((y == 0) & (np.reshape(x, (len(y), -1)) != 0).any(axis=1)).any():
+        raise InvalidParameterError(f"{what} underflows a float to 0 from a nonzero value")
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -210,13 +225,18 @@ class Schatten(Constraint):
         sv = np.abs(_hermitian_eigs(stack))
         if isinf(self.p):
             return np.max(sv, axis=1)
-        return _scalar_powers(np.sum(sv ** self.p, axis=1), 1.0 / self.p)
+        with np.errstate(over="ignore"):
+            sums = np.sum(sv ** self.p, axis=1)
+        _require_representable(sums, sv, f"schatten exponent p = {self.p}")
+        return _scalar_powers(sums, 1.0 / self.p)
 
     def spectral_values(self, phi, q) -> np.ndarray:
         sv = np.abs(phi)
         if isinf(self.p):
             return np.max(sv, axis=1)
-        return np.sum(sv ** self.p, axis=1) ** (1.0 / self.p)
+        # an overflowing score loses; one that underflows to 0 wins and ``values`` refuses it
+        with np.errstate(over="ignore"):
+            return np.sum(sv ** self.p, axis=1) ** (1.0 / self.p)
 
     def kink_margin(self, a, w) -> float:
         if isinf(self.p):
@@ -287,14 +307,18 @@ class GroundShiftedMoment(_StateAnchored):
     def values(self, stack) -> np.ndarray:
         w, v = np.linalg.eigh(1j * stack)
         amps = np.abs(v.conj().transpose(0, 2, 1) @ self.psi) ** 2
-        moment = _dots(amps, (w - w[:, :1]) ** self.p)
-        assert (moment > -1e-9).all(), "ground-shifted moment must be non-negative"
+        gaps = w - w[:, :1]
+        # a gap power that overflows makes the moment inf, or NaN at weight 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            moment = _dots(amps, gaps ** self.p)
+        _require_representable(moment, amps * gaps, f"ml exponent p = {self.p}")
         return _scalar_powers(np.maximum(moment, 0.0), 1.0 / self.p)
 
     def spectral_values(self, phi, q) -> np.ndarray:
         w = -phi
-        moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
-        return np.maximum(moment, 0.0) ** (1.0 / self.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
+            return np.maximum(moment, 0.0) ** (1.0 / self.p)
 
     kink_margin = SpectralRange.kink_margin  # the ground eigenvector jumps at collisions
 
@@ -312,7 +336,6 @@ class EnergyUncertainty(_StateAnchored):
         hpsi = (1j * stack) @ self.psi
         mean = _dots(self.psi.conj(), hpsi).real
         var = _dots(hpsi.conj(), hpsi).real - mean * mean
-        assert (var > -1e-9).all(), "variance must be non-negative"
         return mean, np.sqrt(np.maximum(var, 0.0))
 
     def values(self, stack) -> np.ndarray:
@@ -423,7 +446,8 @@ class _Combinator(Constraint):
         return self.combine(*(c.values(stack) for c in self.children))
 
     def spectral_values(self, phi, q) -> np.ndarray:
-        return self.combine(*(c.spectral_values(phi, q) for c in self.children))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores lose
+            return self.combine(*(c.spectral_values(phi, q) for c in self.children))
 
     def kink_margin(self, a, w) -> float:
         return min(c.kink_margin(a, w) for c in self.children)
@@ -454,10 +478,12 @@ class _Mean(_Combinator):
         # combine on Python floats: scalar powers, as _scalar_powers takes them
         v1, v2 = (c.values(stack).tolist() for c in self.children)
         try:
-            return np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
+            out = np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
         except OverflowError:
-            raise InvalidParameterError(
-                f"{self.kind} exponent p = {self.p} overflows a float") from None
+            out = np.array([inf])
+        if not np.isfinite(out).all():  # a geomean product overflows without an OverflowError
+            raise InvalidParameterError(f"{self.kind} exponent p = {self.p} overflows a float")
+        return out
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes

@@ -43,6 +43,7 @@ GEODESIC_THRESHOLD = 1e-6
 FD_STEP = 1e-4
 NORM_SLACK = 1e-9
 GENERIC_MARGIN = 1e-3
+PROBE_TRIES = 500
 
 CELL_ALL_GATES = "Constant Hamiltonian optimal for all gates"
 CELL_GEODESIC_GATES = "Constant Hamiltonian optimal only for gates passing the geodesic check"
@@ -77,8 +78,7 @@ def classification_line(report: InvarianceReport) -> str:
 
 
 def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
-                        threshold: float = INVARIANCE_THRESHOLD,
-                        norm_slack: float = NORM_SLACK) -> InvarianceReport:
+                        threshold: float = INVARIANCE_THRESHOLD) -> InvarianceReport:
     """Sample |F(V A V†) - F(A)| / F(A) over random pairs (A, V).
 
     Also samples the two norm axioms that are not implied by positive
@@ -114,7 +114,7 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
             fneg = func.values(-a)
             fsum = func.values(a + b)
             scale = 1.0 + fa + fb
-            fails = (np.abs(fneg - fa) > norm_slack * scale) | (fsum > fa + fb + norm_slack * scale)
+            fails = (np.abs(fneg - fa) > NORM_SLACK * scale) | (fsum > fa + fb + NORM_SLACK * scale)
             if fails.any():
                 # the samples after the first failure must not draw B: keep the
                 # stack up to it and draw the rest again from there
@@ -149,8 +149,8 @@ class TensorProbe:
             raise InvalidParameterError(f"step must be positive, got {self.step}")
 
 
-def _tensor_estimates(func, probe: TensorProbe, u: np.ndarray, vs: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _tensor_estimates(func, probe: TensorProbe, u: np.ndarray,
+                      vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``fundamental_tensor_estimate`` for each direction of the stack ``vs``,
     from stacked ``values`` calls on the eight stencil points per direction."""
     base = probe.base
@@ -163,28 +163,31 @@ def _tensor_estimates(func, probe: TensorProbe, u: np.ndarray, vs: np.ndarray,
     g = []
     for start in range(0, len(vs), per_stack):
         chunk = vs[start:start + per_stack]
-        # base + h*u + h*v, base + h*u - h*v, base - h*u + h*v and
-        # base - h*u - h*v for each v, at steps h and h/2
-        points = [corner for step in (h, h / 2.0)
-                  for side in (base + step * u, base - step * u)
-                  for corner in (side + step * chunk, side - step * chunk)]
-        fsq = con._scalar_powers(func.values(np.concatenate(points)), 2)
+        # base +- h*u +- h*v for each v, at steps h and h/2; a huge step
+        # overflows here and is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            stencil = np.concatenate([corner for step in (h, h / 2.0)
+                                      for side in (base + step * u, base - step * u)
+                                      for corner in (side + step * chunk, side - step * chunk)])
+        if not np.isfinite(stencil).all():
+            raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
+        fsq = con._scalar_powers(func.values(stencil), 2)
         upp, upm, ump, umm = fsq.reshape(2, 4, len(chunk)).transpose(1, 0, 2)
         g.append(0.5 * ((upp - upm - ump + umm) / (4.0 * steps * steps)))
     g_full, g_half = np.concatenate(g, axis=1)
     disagreement = np.abs(g_full - g_half)
-    return g_half, np.where(disagreement > 10.0 * tol, disagreement, disagreement / 3.0)
+    return g_half, np.where(disagreement > 10.0 * GEODESIC_THRESHOLD,
+                            disagreement, disagreement / 3.0)
 
 
-def fundamental_tensor_estimate(func, probe: TensorProbe, u, v,
-                                tol: float = GEODESIC_THRESHOLD) -> tuple[float, float]:
+def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, float]:
     """Finite-difference fundamental tensor with an error estimate.
 
     g_X(u, v) = (1/2) d^2/ds dt F^2(X + s*u + t*v) at s = t = 0, computed by
     the symmetric four-point stencil at step h and h/2 (h relative to the
     Frobenius norm of the base point).  The half-step value is returned; the
     estimate |g_h - g_{h/2}|/3 is widened to the full disagreement when the
-    two stencils differ by more than ten times ``tol``.
+    two stencils differ by more than ten times GEODESIC_THRESHOLD.
     """
     base = probe.base
     u = require_algebra_element(u)
@@ -198,7 +201,7 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v,
         raise InvalidParameterError(
             "fundamental tensor is undefined where F vanishes (origin of a "
             f"positive-homogeneous function): F(base) = {f0:.3e}")
-    g, uncertainty = _tensor_estimates(func, probe, u, v[None], tol)
+    g, uncertainty = _tensor_estimates(func, probe, u, v[None])
     return float(g[0]), float(uncertainty[0])
 
 
@@ -236,7 +239,7 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
         raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
     probe = TensorProbe(base=x, step=step)
     basis = su_basis(x.shape[0])
-    residuals, _ = _tensor_estimates(func, probe, x, x @ basis - basis @ x, GEODESIC_THRESHOLD)
+    residuals, _ = _tensor_estimates(func, probe, x, x @ basis - basis @ x)
     normalized_max = float(np.max(np.abs(residuals)) / fx ** 2)
     return GeodesicReport(residuals=residuals, normalized_max=normalized_max,
                           passes=normalized_max < threshold,
@@ -284,15 +287,13 @@ def kink_margin(func, a) -> float:
     return func.kink_margin(a, np.linalg.eigvalsh(1j * a))
 
 
-def sample_generic_probe(func, n: int, rng, scale: float = 2.0,
-                         margin: float = GENERIC_MARGIN,
-                         max_tries: int = 500) -> np.ndarray:
-    """Random algebra element of roughly the given Frobenius norm at which
-    the constraint is smooth enough for finite differencing."""
+def sample_generic_probe(func, n: int, rng) -> np.ndarray:
+    """Random algebra element of Frobenius norm 2 at which the constraint is
+    smooth enough for finite differencing (kink margin above GENERIC_MARGIN)."""
     rng = _as_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(PROBE_TRIES):
         a = random_algebra_element(n, rng)
-        a *= scale / float(np.linalg.norm(a))
-        if kink_margin(func, a) > margin:
+        a *= 2.0 / float(np.linalg.norm(a))
+        if kink_margin(func, a) > GENERIC_MARGIN:
             return a
-    raise QslError(f"no generic probe found within {max_tries} draws")
+    raise QslError(f"no generic probe found within {PROBE_TRIES} draws")

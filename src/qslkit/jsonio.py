@@ -44,17 +44,17 @@ def _format_float(x: float) -> str:
     return text
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     """Serialize with sorted keys and fixed float formatting."""
     out = io.StringIO()
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.write("\n")
     return out.getvalue()
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj, out, level):
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if obj is None:
         out.write("null")
     elif isinstance(obj, bool):
@@ -75,7 +75,7 @@ def _write(obj, out, indent, level):
             if not isinstance(key, str):
                 raise ConfigError(f"JSON object keys must be strings, got {key!r}")
             out.write(inner + json.dumps(key, ensure_ascii=False) + ": ")
-            _write(obj[key], out, indent, level + 1)
+            _write(obj[key], out, level + 1)
             out.write(",\n" if i + 1 < len(keys) else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -92,7 +92,7 @@ def _write(obj, out, indent, level):
         out.write("[\n")
         for i, item in enumerate(seq):
             out.write(inner)
-            _write(item, out, indent, level + 1)
+            _write(item, out, level + 1)
             out.write(",\n" if i + 1 < len(seq) else "\n")
         out.write(pad + "]")
     else:

@@ -4,14 +4,14 @@ Everything works on plain ``numpy`` arrays.  A gate is an N x N complex
 array with ``U.conj().T @ U = I`` and ``det U = 1``; an algebra element is a
 traceless anti-Hermitian array (a Hamiltonian H enters as ``A = -1j * H``).
 Validation helpers raise typed errors instead of silently accepting bad
-input (NaN and inf entries fail every check), and every tolerance is an
-overridable keyword.
+input (NaN and inf entries fail every check).  Tolerances are the module
+constants below; only the unitarity bound ``atol`` of the functions that take
+a gate is a keyword, since ``qsl --tol unitary`` sets it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -28,17 +28,16 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 
-# Default tolerances; callers may override any of them per call.
 UNITARY_ATOL = 1e-10
 ALGEBRA_ATOL = 1e-10
 NORMALITY_ATOL = 1e-8
 CLUSTER_ATOL = 1e-8
 
-# Most candidate rows a branch enumeration may build: its lattice holds
-# prod(window widths) rows before the trace filter, (2 n_max + 1)**(k - 1) for
-# k clusters, so n = 8 at n_max = 3 (823,543 rows) runs and n = 10 at
+# Most candidate rows a branch enumeration may build, (2 n_max + 1)**(k - 1)
+# for k clusters: n = 8 at n_max = 3 (823,543 rows) runs and n = 10 at
 # n_max = 3 (40M rows, about 2.9 GB of indices) is refused.
 MAX_BRANCH_ROWS = 1_000_000
+MAX_TIE_CANDIDATES = 16  # most candidate branches a DegenerateBranchTieError carries
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,8 @@ def require_special_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Validate U†U = I and det U = 1 (max-abs entrywise, within ``atol``)."""
     u = as_square_matrix(u)
     n = u.shape[0]
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, refused below
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
     if not defect <= atol:
         raise InvariantViolationError(f"matrix is not unitary: max|U†U - I| = {defect:.3e}")
     det = complex(np.linalg.det(u))
@@ -66,21 +66,22 @@ def require_special_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
-def require_algebra_element(a, atol: float = ALGEBRA_ATOL) -> np.ndarray:
-    """Validate A† = -A and tr A = 0 within ``atol``."""
+def require_algebra_element(a) -> np.ndarray:
+    """Validate A† = -A and tr A = 0 within ALGEBRA_ATOL."""
     a = as_square_matrix(a)
-    defect = float(np.max(np.abs(a + a.conj().T)))
-    if not defect <= atol:
+    with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, refused below
+        defect = float(np.max(np.abs(a + a.conj().T)))
+    if not defect <= ALGEBRA_ATOL:
         raise InvariantViolationError(f"matrix is not anti-Hermitian: max|A + A†| = {defect:.3e}")
     tr = complex(np.trace(a))
-    if not abs(tr) <= atol:
+    if not abs(tr) <= ALGEBRA_ATOL:
         raise InvariantViolationError(f"matrix is not traceless: tr = {tr:.3e}")
     return a
 
 
-def is_identity(u, atol: float = UNITARY_ATOL) -> bool:
+def is_identity(u) -> bool:
     u = as_square_matrix(u)
-    return float(np.max(np.abs(u - np.eye(u.shape[0])))) <= atol
+    return float(np.max(np.abs(u - np.eye(u.shape[0])))) <= UNITARY_ATOL
 
 
 def principal_angles(values) -> np.ndarray:
@@ -110,7 +111,7 @@ class SpectralDecomposition:
         return (q * self.eigenvalues) @ q.conj().T
 
 
-def eig_normal(m, normality_atol: float = NORMALITY_ATOL) -> SpectralDecomposition:
+def eig_normal(m) -> SpectralDecomposition:
     """Unitarily diagonalize a normal matrix.
 
     Uses the complex Schur form, whose orthogonal-iteration backbone keeps the
@@ -122,8 +123,9 @@ def eig_normal(m, normality_atol: float = NORMALITY_ATOL) -> SpectralDecompositi
     import scipy.linalg  # deferred: importing it is most of the package's import time
 
     m = as_square_matrix(m)
-    commut = float(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)))
-    if not commut <= normality_atol:
+    with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, refused below
+        commut = float(np.max(np.abs(m @ m.conj().T - m.conj().T @ m)))
+    if not commut <= NORMALITY_ATOL:
         raise NotNormalError(f"matrix is not normal: max|MM† - M†M| = {commut:.3e}")
     try:
         t, q = scipy.linalg.schur(m, output="complex")
@@ -138,13 +140,13 @@ def eig_normal(m, normality_atol: float = NORMALITY_ATOL) -> SpectralDecompositi
 # Exponential and logarithms
 # ---------------------------------------------------------------------------
 
-def expm(a, atol: float = ALGEBRA_ATOL) -> np.ndarray:
+def expm(a) -> np.ndarray:
     """exp(A) for a traceless anti-Hermitian A, via eigendecomposition of iA.
 
     The result is special unitary by construction: the eigenvalues of A are
     purely imaginary and sum to zero.
     """
-    a = require_algebra_element(a, atol=atol)
+    a = require_algebra_element(a)
     try:
         w, v = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
@@ -179,18 +181,11 @@ class _EigenClusters:
     """Eigenstructure of a unitary, grouped into degenerate angle clusters."""
 
     decomposition: SpectralDecomposition
-    angles: np.ndarray        # principal angle per eigenvalue
+    angles: np.ndarray        # principal angle per eigenvalue, ascending
     base_shifts: np.ndarray   # +1 for members of a wrapped cluster sitting near -pi
     cluster_of: np.ndarray    # cluster id per eigenvalue
     n_clusters: int
-    winding: int              # round(sum(effective angles) / 2pi)
-
-    @property
-    def effective_angles(self) -> np.ndarray:
-        return self.angles + TWO_PI * self.base_shifts
-
-    def members(self, cid: int) -> np.ndarray:
-        return np.flatnonzero(self.cluster_of == cid)
+    winding: int              # round(sum(angles + 2pi base_shifts) / 2pi)
 
     def assemble(self, shifts: np.ndarray) -> LogBranch:
         """The branch with these winding shifts: Q diag(1j*phi) Q†."""
@@ -202,26 +197,23 @@ class _EigenClusters:
     def principal_shifts(self) -> np.ndarray:
         """Shifts of the principal branch (the rule is in ``principal_log``).
 
-        Raises DegenerateBranchTieError, carrying the candidate branches,
-        when the traceless correction would split a degenerate cluster.
+        Cluster ids ascend with the angle, so the clusters nearest +pi are the
+        highest ids: a winding m > 0 is taken from the top id down, m < 0 from
+        the bottom id up.  Raises DegenerateBranchTieError, carrying the
+        candidate branches, when the traceless correction would split a
+        degenerate cluster.
         """
         m = self.winding
         shifts = self.base_shifts.copy()
-        if m == 0:
-            return shifts
         sign = 1 if m > 0 else -1
-        # clusters ordered by closeness to the relevant endpoint (+pi or -pi)
-        reps = [(cid, self.effective_angles[self.members(cid)][0])
-                for cid in range(self.n_clusters)]
-        reps.sort(key=lambda item: -sign * item[1])
         remaining = abs(m)
-        for cid, _rep in reps:
+        for cid in range(self.n_clusters)[::-sign]:
             if remaining == 0:
                 break
-            idx = self.members(cid)
+            idx = np.flatnonzero(self.cluster_of == cid)
             if len(idx) > remaining:
                 candidates = []
-                for chosen in _index_choices(idx, remaining):
+                for chosen in islice(combinations(idx.tolist(), remaining), MAX_TIE_CANDIDATES):
                     alt = shifts.copy()
                     alt[list(chosen)] -= sign
                     candidates.append(self.assemble(alt))
@@ -233,38 +225,33 @@ class _EigenClusters:
                 )
             shifts[idx] -= sign
             remaining -= len(idx)
-        if remaining != 0:
-            raise InvariantViolationError(
-                f"could not absorb winding {m} into eigenangle corrections")
         return shifts
 
     def branch_shifts(self, n_max: int) -> np.ndarray:
         """Shift rows of every traceless branch with |n_k| <= n_max.
 
         Every member's shift base + c must stay in [-n_max, n_max]; the picks
-        c (one per cluster) must satisfy sum_c c * size_c = -winding.  All
-        clusters but the last range over their windows, in lexicographic
-        order; the trace condition fixes the last one, which must land in its
-        own window.  Also right for one cluster and for empty windows.  A
-        lattice of more than MAX_BRANCH_ROWS rows raises InvalidParameterError
-        before anything is allocated.
+        c (one per cluster) must satisfy sum_c c * size_c = -winding.  Only
+        the last cluster carries base shifts (0 on its run at +pi, 1 on its
+        wrapped members), so every other cluster ranges over [-n_max, n_max],
+        in lexicographic order, and the trace condition fixes the last pick,
+        which must land in [-n_max, n_max - max(base)].  Also right for one
+        cluster and for an empty window.  A lattice of more than
+        MAX_BRANCH_ROWS rows raises InvalidParameterError before anything is
+        allocated.
         """
         if n_max < 0:
             raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
         k = self.n_clusters
-        base = [self.base_shifts[self.members(c)] for c in range(k)]
-        sizes = np.array([len(b) for b in base])
-        lo = np.array([-n_max - b.min() for b in base])
-        hi = np.array([n_max - b.max() for b in base])
-        widths = hi[:-1] - lo[:-1] + 1
-        rows = math.prod(widths.tolist())
+        rows = (2 * n_max + 1) ** (k - 1)
         if rows > MAX_BRANCH_ROWS:
             raise InvalidParameterError(
                 f"n_max = {n_max} needs {rows} branch lattice rows, "
                 f"above the cap of {MAX_BRANCH_ROWS}; lower n_max")
-        head = np.indices(widths).reshape(k - 1, rows).T + lo[:-1]
+        sizes = np.bincount(self.cluster_of)
+        head = np.indices((2 * n_max + 1,) * (k - 1)).reshape(k - 1, rows).T - n_max
         last, rem = np.divmod(-self.winding - head @ sizes[:-1], sizes[-1])
-        keep = (rem == 0) & (lo[-1] <= last) & (last <= hi[-1])
+        keep = (rem == 0) & (-n_max <= last) & (last <= n_max - self.base_shifts.max())
         picks = np.column_stack([head[keep], last[keep]])
         return self.base_shifts + picks[:, self.cluster_of]
 
@@ -293,48 +280,41 @@ class _EigenClusters:
         return branches
 
 
-def _cluster_eigenangles(dec: SpectralDecomposition, cluster_atol: float) -> _EigenClusters:
+def _cluster_eigenangles(dec: SpectralDecomposition) -> _EigenClusters:
     """Group (near-)equal eigenvalues of a unitary into angle clusters.
 
+    ``eig_normal`` returns the angles ascending, so a cluster is a run of
+    angles no more than CLUSTER_ATOL apart and ids ascend with the angle.
     Clustering is circular: angles just above -pi and just below +pi belong to
     the same eigenvalue (-1-ish) and are merged, with a base winding of +1
     assigned to the members on the -pi side so the whole cluster behaves as if
-    it sat at +pi.
+    it sat at +pi.  The merged cluster keeps the last id.
     """
     theta = principal_angles(dec.eigenvalues)
-    order = np.argsort(theta, kind="stable")
-    cluster_of = np.empty(len(theta), dtype=int)
-    cluster_of[order] = np.concatenate(([0], np.cumsum(np.diff(theta[order]) > cluster_atol)))
-    n_clusters = int(cluster_of[order[-1]]) + 1
+    cluster_of = np.concatenate(([0], np.cumsum(np.diff(theta) > CLUSTER_ATOL)))
     base = np.zeros(len(theta), dtype=int)
-    if n_clusters > 1 and (theta[order[0]] + TWO_PI) - theta[order[-1]] <= cluster_atol:
-        # wrap-around: merge the cluster at -pi into the one at +pi, renumber from 0
+    if cluster_of[-1] > 0 and (theta[0] + TWO_PI) - theta[-1] <= CLUSTER_ATOL:
+        # wrap-around: the run at -pi joins the top cluster, ids drop by one
         low = cluster_of == 0
-        cluster_of[low] = n_clusters - 1
         base[low] = 1
-        cluster_of -= 1
-        n_clusters -= 1
-    effective = theta + TWO_PI * base
-    winding = int(np.rint(effective.sum() / TWO_PI))
+        cluster_of = np.where(low, cluster_of[-1], cluster_of) - 1
     return _EigenClusters(
         decomposition=dec,
         angles=theta,
         base_shifts=base,
         cluster_of=cluster_of,
-        n_clusters=n_clusters,
-        winding=winding,
+        n_clusters=int(cluster_of[-1]) + 1,
+        winding=int(np.rint((theta + TWO_PI * base).sum() / TWO_PI)),
     )
 
 
-def _eigen_clusters(u, atol: float = UNITARY_ATOL,
-                    cluster_atol: float = CLUSTER_ATOL) -> _EigenClusters:
+def _eigen_clusters(u, atol: float = UNITARY_ATOL) -> _EigenClusters:
     """Validate a special unitary and cluster its eigenangles."""
     u = require_special_unitary(u, atol=atol)
-    return _cluster_eigenangles(eig_normal(u), cluster_atol)
+    return _cluster_eigenangles(eig_normal(u))
 
 
-def principal_log(u, atol: float = UNITARY_ATOL,
-                  cluster_atol: float = CLUSTER_ATOL) -> LogBranch:
+def principal_log(u, atol: float = UNITARY_ATOL) -> LogBranch:
     """Principal-branch matrix logarithm of a special unitary matrix.
 
     All eigenangles are taken in (-pi, pi].  Their sum is 2*pi*m for an
@@ -344,17 +324,11 @@ def principal_log(u, atol: float = UNITARY_ATOL,
     would split a degenerate cluster, the choice is basis-dependent and
     DegenerateBranchTieError is raised carrying every candidate branch.
     """
-    clusters = _eigen_clusters(u, atol, cluster_atol)
+    clusters = _eigen_clusters(u, atol)
     return clusters.assemble(clusters.principal_shifts())
 
 
-def _index_choices(indices, r, cap: int = 16):
-    """First ``cap`` combinations of ``r`` indices, lowest indices first."""
-    return islice(combinations(indices.tolist(), r), cap)
-
-
-def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
-                 cluster_atol: float = CLUSTER_ATOL) -> list[LogBranch]:
+def log_branches(u, n_max: int, atol: float = UNITARY_ATOL) -> list[LogBranch]:
     """All traceless logarithm branches of U with winding shifts |n_k| <= n_max.
 
     A branch is a choice of one integer winding per eigenvalue cluster
@@ -363,7 +337,7 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL,
     constraint that the shifted angles sum to zero.  The list is sorted by
     Frobenius norm of the branch value, ties broken by the shift vector.
     """
-    clusters = _eigen_clusters(u, atol, cluster_atol)
+    clusters = _eigen_clusters(u, atol)
     return clusters.sorted_branches(clusters.branch_shifts(n_max))
 
 
@@ -472,7 +446,6 @@ def _haar_from_normals(g: np.ndarray) -> np.ndarray:
     return q / np.array([det ** (1.0 / n) for det in np.linalg.det(q)])[:, None, None]
 
 
-def random_algebra_element(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    """Random su(n) element with normal coordinates of the given scale."""
-    rng = _as_rng(seed)
-    return from_coords(scale * rng.standard_normal(n * n - 1), n)
+def random_algebra_element(n: int, seed) -> np.ndarray:
+    """Random su(n) element with standard normal coordinates."""
+    return from_coords(_as_rng(seed).standard_normal(n * n - 1), n)

@@ -33,7 +33,7 @@ from qslkit import (
     sample_generic_probe,
 )
 from qslkit.gates import orthogonalizer
-from qslkit.geometry import CELL_ALL_GATES, classification_line
+from qslkit.geometry import CELL_ALL_GATES, GENERIC_MARGIN, classification_line
 
 
 def small_randers(n=2, drift=0.2):
@@ -346,9 +346,9 @@ def test_generic_probe_respects_margin():
     rng = np.random.default_rng(23)
     func = SpectralRange()
     for _ in range(10):
-        x = sample_generic_probe(func, 3, rng, margin=1e-3)
+        x = sample_generic_probe(func, 3, rng)
         w = np.linalg.eigvalsh(1j * x)
-        assert np.min(np.diff(w)) > 1e-3
+        assert np.min(np.diff(w)) > GENERIC_MARGIN == 1e-3
 
 
 # ---------------------------------------------------------------------------

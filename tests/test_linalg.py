@@ -1,6 +1,7 @@
 """Foundation tests: eigendecomposition, exp/log, branches, basis, sampling."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_branch_count_matches_independent_enumeration(n, n_max, seed):
 def lattice_reference(clusters, n_max):
     """Shift rows from itertools.product over every cluster's window."""
     k = clusters.n_clusters
-    base = [clusters.base_shifts[clusters.members(c)] for c in range(k)]
+    base = [clusters.base_shifts[np.flatnonzero(clusters.cluster_of == c)] for c in range(k)]
     windows = [range(-n_max - b.min(), n_max - b.max() + 1) for b in base]
     sizes = [len(b) for b in base]
     rows = [clusters.base_shifts + np.array(picks)[clusters.cluster_of]
@@ -283,6 +284,86 @@ def test_branch_shift_lattice_matches_product(gate, n_max):
         assert clusters.n_clusters == 1 and got.tolist() == [[0, 0, 0]]
     if gate == "wrap5" and n_max == 0:
         assert got.shape == (0, 5) and log_branches(u, 0) == []
+
+
+def principal_shifts_by_rank(clusters):
+    """The principal rule with clusters ranked by their first member's
+    effective angle, nearest +pi first for a winding m > 0 and nearest -pi
+    first for m < 0: the shift row, or, where the correction would split a
+    cluster, (its multiplicity, the shifts it needs, its members, the sign of
+    the correction, the shifts so far)."""
+    m = clusters.winding
+    shifts = clusters.base_shifts.copy()
+    sign = 1 if m > 0 else -1
+    effective = clusters.angles + 2 * np.pi * clusters.base_shifts
+    ranked = sorted(range(clusters.n_clusters),
+                    key=lambda c: -sign * effective[clusters.cluster_of == c][0])
+    remaining = abs(m)
+    for c in ranked:
+        idx = np.flatnonzero(clusters.cluster_of == c)
+        if remaining == 0:
+            break
+        if len(idx) > remaining:
+            return len(idx), remaining, idx, sign, shifts
+        shifts[idx] -= sign
+        remaining -= len(idx)
+    return shifts
+
+
+def closing_angle(angles):
+    """The eigenangle that completes ``angles`` to a special unitary."""
+    return math.remainder(-sum(angles), 2 * np.pi)
+
+
+@st.composite
+def cluster_gates(draw):
+    """Haar gates at n = 2-7, and constructed spectra: a degenerate run that
+    straddles the -1 cut, -I in SU(2), qft:6 and wrap5, each in its own
+    eigenbasis or a Haar-rotated one."""
+    kind = draw(st.sampled_from(["haar", "straddle", "named"]))
+    if kind == "haar":
+        return haar_su(draw(st.integers(2, 7)), draw(st.integers(0, 2**32 - 1)))
+    if kind == "named":
+        return draw(st.sampled_from([lambda: -np.eye(2, dtype=complex), *NAMED_GATES.values()]))()
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-10]))
+    angles = ([np.pi - eps] * draw(st.integers(1, 3)) + [-np.pi + eps] * draw(st.integers(1, 3))
+              + draw(st.lists(st.sampled_from([0.3, -0.3, 1.2, 2.9, -2.9]), max_size=3)))
+    d = np.diag(np.exp(1j * np.array(angles + [closing_angle(angles)])))
+    if draw(st.booleans()):
+        v = haar_su(len(d), draw(st.integers(0, 2**32 - 1)))
+        d = v @ d @ v.conj().T
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_gates())
+def test_clusters_are_runs_of_the_sorted_spectrum(u):
+    # the facts the branch layer is built on: eig_normal sorts the angles,
+    # so clusters are runs with ascending ids, the wrapped run at -pi joins
+    # the top cluster, and the principal rule walks the ids from the top
+    # (or the bottom) in the order a ranking by angle gives
+    c = _eigen_clusters(u)
+    top = c.n_clusters - 1
+    wrapped = c.base_shifts == 1
+    assert np.all(np.diff(c.angles) >= 0)
+    assert set(np.unique(c.base_shifts).tolist()) <= {0, 1}
+    assert np.all(c.cluster_of[wrapped] == top) and np.all(c.base_shifts[c.cluster_of != top] == 0)
+    assert c.cluster_of[~wrapped][0] == 0 and c.cluster_of[-1] == top
+    assert set(np.diff(c.cluster_of[~wrapped]).tolist()) <= {0, 1}
+    want = principal_shifts_by_rank(c)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(c.principal_shifts(), want)
+        return
+    multiplicity, need, idx, sign, shifts = want
+    with pytest.raises(DegenerateBranchTieError,
+                       match=f"multiplicity {multiplicity} \\(need {need}\\)") as exc:
+        c.principal_shifts()
+    expected = []
+    for chosen in itertools.islice(itertools.combinations(idx.tolist(), need), 16):
+        alt = shifts.copy()
+        alt[list(chosen)] -= sign
+        expected.append(alt)
+    assert [b.shifts.tolist() for b in exc.value.candidates] == [e.tolist() for e in expected]
 
 
 def test_branch_lattice_above_the_cap_is_refused_before_allocating():
