@@ -71,9 +71,11 @@ from .linalg import basis_coords, random_algebra_element, require_algebra_elemen
 
 STATE_ATOL = 1e-12
 
-# Most matrix entries (128 KB of complex128) a sampled check or a stencil puts
-# in one stacked ``values`` call, so its memory stays bounded whatever its
-# sample count and dimension.
+# Most matrix entries (128 KB of complex128) a sampled check puts in one
+# stacked ``values`` call, so its memory stays bounded whatever its sample
+# count.  The finite-difference stencils are not chunked: the geodesic
+# residual, the slope of F**2 along each [X, T_i], takes 2(n**2 - 1) points,
+# twice the commutator stack the check holds anyway.
 STACK_ENTRIES = 8192
 
 
@@ -476,13 +478,16 @@ class _Mean(_Combinator):
 
     def values(self, stack) -> np.ndarray:
         # combine on Python floats: scalar powers, as _scalar_powers takes them
-        v1, v2 = (c.values(stack).tolist() for c in self.children)
+        v1, v2 = (c.values(stack) for c in self.children)
         try:
-            out = np.array([self.combine(x, y) for x, y in zip(v1, v2)], dtype=float)
+            out = np.array([self.combine(x, y) for x, y in zip(v1.tolist(), v2.tolist())],
+                           dtype=float)
         except OverflowError:
             out = np.array([inf])
         if not np.isfinite(out).all():  # a geomean product overflows without an OverflowError
             raise InvalidParameterError(f"{self.kind} exponent p = {self.p} overflows a float")
+        if self.lost(out, v1, v2).any():
+            raise InvalidParameterError(f"{self.kind} exponent p = {self.p} {self.loss}")
         return out
 
     def kink_margin(self, a, w) -> float:
@@ -515,9 +520,13 @@ class PowerMean(_Mean):
     p: float
     children: tuple
     kind = "powmean"
+    loss = "underflows a float to 0 from a nonzero value"
 
     def combine(self, v1, v2):
         return (v1 ** self.p + v2 ** self.p) ** (1.0 / self.p)
+
+    def lost(self, out, v1, v2) -> np.ndarray:
+        return (out == 0.0) & ((v1 != 0.0) | (v2 != 0.0))
 
 
 @dataclass(frozen=True)
@@ -527,9 +536,16 @@ class GeometricMean(_Mean):
     p: float
     children: tuple
     kind = "geomean"
+    loss = "loses sqrt(F1 * F2) to float rounding"
 
     def combine(self, v1, v2):
         return (v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p))
+
+    def lost(self, out, v1, v2) -> np.ndarray:
+        # the mean is sqrt(F1 * F2) for every p, but F**p underflows to 0 at
+        # a large p and rounds to 1 at a tiny one
+        exact = np.sqrt(v1) * np.sqrt(v2)
+        return np.abs(out - exact) > 1e-9 * exact
 
 
 KINDS = {cls.kind: cls for cls in (Schatten, SpectralRange, GroundShiftedMoment,

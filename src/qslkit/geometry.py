@@ -7,7 +7,9 @@ non-invariant constraint, does a specific gate still admit a time-optimal
 constant drive?  That holds exactly when the log of the gate is a geodesic
 vector of the induced right-invariant Finsler structure, i.e. when the
 fundamental tensor g of F satisfies g_X(X, [X, Z]) = 0 for every basis
-direction Z.  The tensor is evaluated by finite differences of F**2, so the
+direction Z.  By Euler's theorem on the degree-2 function F**2, that residual
+is half the slope of F**2 along the orbit tangent [X, Z], taken as a central
+first difference; the tensor is a central second difference of F**2.  So the
 checks are only meaningful at generic probes away from spectral kinks.
 """
 
@@ -149,35 +151,17 @@ class TensorProbe:
             raise InvalidParameterError(f"step must be positive, got {self.step}")
 
 
-def _tensor_estimates(func, probe: TensorProbe, u: np.ndarray,
-                      vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``fundamental_tensor_estimate`` for each direction of the stack ``vs``,
-    from stacked ``values`` calls on the eight stencil points per direction."""
-    base = probe.base
-    n = len(base)
-    h = probe.step * float(np.linalg.norm(base))
+def _squares(func, probe: TensorProbe, build) -> tuple[float, np.ndarray]:
+    """h = probe.step * |base|_F and F**2 on the stencil ``build(h)`` in one
+    ``values`` call, refusing a step that underflows or a stencil that overflows."""
+    h = probe.step * float(np.linalg.norm(probe.base))
     if h < 1e-12:
         raise StepUnderflowError(f"finite-difference step underflow: h = {h:.3e}")
-    steps = np.array([[h], [h / 2.0]])
-    per_stack = max(1, con.STACK_ENTRIES // (8 * n * n))
-    g = []
-    for start in range(0, len(vs), per_stack):
-        chunk = vs[start:start + per_stack]
-        # base +- h*u +- h*v for each v, at steps h and h/2; a huge step
-        # overflows here and is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            stencil = np.concatenate([corner for step in (h, h / 2.0)
-                                      for side in (base + step * u, base - step * u)
-                                      for corner in (side + step * chunk, side - step * chunk)])
-        if not np.isfinite(stencil).all():
-            raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
-        fsq = con._scalar_powers(func.values(stencil), 2)
-        upp, upm, ump, umm = fsq.reshape(2, 4, len(chunk)).transpose(1, 0, 2)
-        g.append(0.5 * ((upp - upm - ump + umm) / (4.0 * steps * steps)))
-    g_full, g_half = np.concatenate(g, axis=1)
-    disagreement = np.abs(g_full - g_half)
-    return g_half, np.where(disagreement > 10.0 * GEODESIC_THRESHOLD,
-                            disagreement, disagreement / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stencil = build(h)
+    if not np.isfinite(stencil).all():
+        raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
+    return h, con._scalar_powers(func.values(stencil), 2)
 
 
 def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, float]:
@@ -201,8 +185,16 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, 
         raise InvalidParameterError(
             "fundamental tensor is undefined where F vanishes (origin of a "
             f"positive-homogeneous function): F(base) = {f0:.3e}")
-    g, uncertainty = _tensor_estimates(func, probe, u, v[None])
-    return float(g[0]), float(uncertainty[0])
+    # base +- step*u +- step*v at steps h and h/2
+    h, fsq = _squares(func, probe, lambda h: np.stack([
+        corner for step in (h, h / 2.0) for side in (base + step * u, base - step * u)
+        for corner in (side + step * v, side - step * v)]))
+    steps = np.array([h, h / 2.0])
+    upp, upm, ump, umm = fsq.reshape(2, 4).T
+    g_full, g_half = 0.5 * ((upp - upm - ump + umm) / (4.0 * steps * steps))
+    disagreement = abs(g_full - g_half)
+    return float(g_half), float(disagreement if disagreement > 10.0 * GEODESIC_THRESHOLD
+                                else disagreement / 3.0)
 
 
 def fundamental_tensor(func, probe: TensorProbe, u, v) -> float:
@@ -231,15 +223,21 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
                           threshold: float = GEODESIC_THRESHOLD) -> GeodesicReport:
     """Test whether X generates a critical one-parameter flow of the
     constraint's action, i.e. whether a constant Hamiltonian along X is a
-    candidate time-optimal drive."""
+    candidate time-optimal drive.
+
+    F**2 is homogeneous of degree 2, so by Euler's theorem g_X(X, D) is half
+    the slope of F**2 at X along D: for D_i = [X, T_i] the residual is
+    (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h relative to |X|_F."""
     x = require_algebra_element(x)
     con.require_dim(func, x.shape[0])
     fx = func.value(x)
     if not fx > 0.0:
         raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
-    probe = TensorProbe(base=x, step=step)
     basis = su_basis(x.shape[0])
-    residuals, _ = _tensor_estimates(func, probe, x, x @ basis - basis @ x)
+    d = x @ basis - basis @ x
+    h, fsq = _squares(func, TensorProbe(base=x, step=step),
+                      lambda h: np.concatenate([x + h * d, x - h * d]))
+    residuals = np.subtract(*fsq.reshape(2, len(d))) / (4.0 * h)
     normalized_max = float(np.max(np.abs(residuals)) / fx ** 2)
     return GeodesicReport(residuals=residuals, normalized_max=normalized_max,
                           passes=normalized_max < threshold,

@@ -248,6 +248,9 @@ class _EigenClusters:
             raise InvalidParameterError(
                 f"n_max = {n_max} needs {rows} branch lattice rows, "
                 f"above the cap of {MAX_BRANCH_ROWS}; lower n_max")
+        # a no-op for two or more clusters; one cluster has the single pick
+        # -winding / size, of size at most 1, and int64 picks need a bound
+        n_max = min(n_max, MAX_BRANCH_ROWS)
         sizes = np.bincount(self.cluster_of)
         head = np.indices((2 * n_max + 1,) * (k - 1)).reshape(k - 1, rows).T - n_max
         last, rem = np.divmod(-self.winding - head @ sizes[:-1], sizes[-1])

