@@ -67,7 +67,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvariantViolationError
-from .linalg import basis_coords, random_algebra_element, require_algebra_element, su_basis
+from .linalg import (basis_coords, from_coords, random_algebra_element, require_algebra_element,
+                     su_basis)
 
 STATE_ATOL = 1e-12
 
@@ -154,12 +155,12 @@ class Constraint:
     spectral range, and combinators of them) for which gate_time asserts that
     the principal logarithm branch is minimal.
 
-    ``orbit_states`` says how F varies along an adjoint orbit V X V†: ``()``
-    when it is constant there (``unitarily_invariant``), the reference states
-    when F depends on V only through V†psi and is least where each V†psi is a
-    ground eigenvector of 1j*X (the state-anchored moments), and None when F
-    varies in any other way.  ``gatetime.conj_min_time`` reads its orbit
-    minimum off this in closed form when every state is the same.
+    ``orbit_minimizer(x)`` is a special unitary V at which F(V X V†) is least
+    over the adjoint orbit of X, or None when the class knows no closed form:
+    the identity for an invariant F, which is constant on the orbit, and each
+    class's own minimizer otherwise.  ``orbit_smooth`` says that F is smooth
+    along the orbit away from X = 0, so a gradient search may minimize it
+    there.  ``gatetime.conj_min_time`` reads both.
 
     A subclass defines F through ``values`` or, for a custom constraint,
     through ``value`` alone; each defaults to the other.
@@ -170,9 +171,12 @@ class Constraint:
     dim = None
     unitarily_invariant = False
 
+    def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
+        return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
+
     @property
-    def orbit_states(self) -> Optional[tuple]:
-        return () if self.unitarily_invariant else None
+    def orbit_smooth(self) -> bool:
+        return self.unitarily_invariant
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -200,6 +204,14 @@ class Constraint:
         This default assembles all points and makes one ``values`` call.
         """
         return self.values((q * (1j * phi[:, None, :])) @ q.conj().T)
+
+
+def _carry(onto: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The special unitary V = onto u† / det**(1/n): V maps each column of u,
+    the eigenvectors of 1j*X, onto the column of ``onto`` in its place, so
+    V X V† has X's spectrum on the columns of ``onto``."""
+    v = onto @ u.conj().T
+    return v / np.linalg.det(v) ** (1.0 / len(v))
 
 
 def _state_weights(psi, q) -> np.ndarray:
@@ -284,10 +296,13 @@ class _StateAnchored(Constraint):
     def dim(self) -> Optional[int]:
         return len(self.psi)
 
-    @property
-    def orbit_states(self) -> tuple:
-        # F_psi(V X V†) = F_{V†psi}(X), and ml and mt vanish at a ground eigenvector
-        return (self.psi,)
+    def orbit_minimizer(self, x) -> np.ndarray:
+        # F_psi(V X V†) = F_{V†psi}(X), and ml and mt vanish at a ground
+        # eigenvector: V maps the ground eigenvector of 1j*X onto psi, and the
+        # rest of the eigenbasis onto a QR completion of psi
+        _, u = np.linalg.eigh(1j * x)
+        w, _ = np.linalg.qr(np.column_stack([self.psi, np.eye(len(x))]))
+        return _carry(w, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,8 +352,9 @@ class EnergyUncertainty(_StateAnchored):
         # conj(x) @ y is the BLAS dot np.vdot takes
         hpsi = (1j * stack) @ self.psi
         mean = _dots(self.psi.conj(), hpsi).real
-        var = _dots(hpsi.conj(), hpsi).real - mean * mean
-        return mean, np.sqrt(np.maximum(var, 0.0))
+        # |(H - mean) psi|**2: <H psi|H psi> - mean**2 cancels to noise near 0
+        dev = hpsi - mean[:, None] * self.psi
+        return mean, np.sqrt(_dots(dev.conj(), dev).real)
 
     def values(self, stack) -> np.ndarray:
         return self.moments(stack)[1]
@@ -346,7 +362,7 @@ class EnergyUncertainty(_StateAnchored):
     def spectral_values(self, phi, q) -> np.ndarray:
         weights = _state_weights(self.psi, q)
         mean = phi @ weights  # of -H; the sign drops out of the variance
-        return np.sqrt(np.maximum(phi ** 2 @ weights - mean * mean, 0.0))
+        return np.sqrt((phi - mean[:, None]) ** 2 @ weights)
 
     def kink_margin(self, a, w) -> float:
         # the square root kinks where the variance vanishes
@@ -365,6 +381,7 @@ class Randers(Constraint):
     metric: np.ndarray
     oneform: np.ndarray
     kind = "randers"
+    orbit_smooth = True
 
     def __post_init__(self):
         metric = np.asarray(self.metric, dtype=float)
@@ -411,6 +428,26 @@ class Randers(Constraint):
         # smooth everywhere except at the origin
         return float(np.linalg.norm(a))
 
+    def orbit_minimizer(self, x) -> Optional[np.ndarray]:
+        n = len(x)
+        if np.array_equal(self.metric, self.metric[0, 0] * np.eye(len(self.metric))):
+            # F = sqrt(m)|c| + b.c and |c| is constant on the orbit; b.c is
+            # tr((1j W)(1j X)) for W = from_coords(b), least when the two
+            # spectra pair ascending with descending (von Neumann's trace
+            # inequality): V carries X's ascending eigenbasis onto W's descending one
+            _, onto = np.linalg.eigh(1j * from_coords(self.oneform, n))
+            onto = onto[:, ::-1]
+        elif n == 2 and not self.oneform.any():
+            # the su(2) orbit is the sphere |c| = r, on which sqrt(c.M.c) is
+            # least along the metric's lowest eigenvector e: V carries X onto r e
+            _, e = np.linalg.eigh(self.metric)
+            r = np.linalg.norm(basis_coords(x))
+            _, onto = np.linalg.eigh(1j * from_coords(r * e[:, 0], n))
+        else:
+            return None
+        _, u = np.linalg.eigh(1j * x)
+        return _carry(onto, u)
+
 
 # ---------------------------------------------------------------------------
 # Combinators
@@ -438,11 +475,19 @@ class _Combinator(Constraint):
         # is minimal for both children is minimal for the combination
         return all(c.unitarily_invariant for c in self.children)
 
+    def orbit_minimizer(self, x) -> Optional[np.ndarray]:
+        # nondecreasing combines again: a V that minimizes every child that
+        # varies on the orbit minimizes the tree
+        found = [c.orbit_minimizer(x) for c in self.children if not c.unitarily_invariant]
+        if not found:
+            return super().orbit_minimizer(x)
+        if any(v is None or not np.array_equal(v, found[0]) for v in found):
+            return None
+        return found[0]
+
     @property
-    def orbit_states(self) -> Optional[tuple]:
-        # nondecreasing combines again: V minimizing every child minimizes the tree
-        states = [c.orbit_states for c in self.children]
-        return None if any(s is None for s in states) else sum(states, ())
+    def orbit_smooth(self) -> bool:
+        return all(c.orbit_smooth for c in self.children)
 
     def values(self, stack) -> np.ndarray:
         return self.combine(*(c.values(stack) for c in self.children))
@@ -465,6 +510,10 @@ class Sum(_Combinator):
 
 
 class _Extremum(_Combinator):
+    @property
+    def orbit_smooth(self) -> bool:
+        return self.unitarily_invariant  # kinks where the arms tie
+
     def kink_margin(self, a, w) -> float:
         # kinks where the arms tie
         v1, v2 = (c.value(a) for c in self.children)

@@ -46,13 +46,16 @@ from .linalg import (
     _eigen_clusters,
 )
 
-# Derivative-free search defaults, for the F whose conjugation minimum has no
-# closed form (Randers leaves, states that differ, custom F): simplex
-# diameter convergence and a hard iteration cap; the objective may be
-# non-smooth (max/min combinators, spectral degeneracies), so gradient
-# methods are not used.
+# Search defaults, for the F whose conjugation minimum has no closed form.
+# Trees that are smooth along the orbit (Randers and invariant leaves joined
+# by sums and means) run BFGS on a central-difference gradient in the chart,
+# stopped at gradient norm GRADIENT_TOL; the others (max/min, states that
+# differ, custom F) may kink, so they run Nelder-Mead to simplex diameter
+# SIMPLEX_TOL.  Either search stops at SEARCH_MAXITER iterations.
+GRADIENT_TOL = 1e-6
+GRADIENT_STEP = 6e-6
 SIMPLEX_TOL = 1e-9
-SIMPLEX_MAXITER = 20_000
+SEARCH_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
 
 # Branches whose batched spectral value is within NEAR_TIE * (1 + |min|) of the
@@ -143,15 +146,15 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     """Minimize F(V X V†)/kappa over conjugators V in SU(n), X = log(gate).
 
     Conjugation commutes with the principal logarithm, so the search runs on
-    the fixed principal branch.  When F's ``orbit_states`` is empty or holds
-    one state psi (repeated or not), the minimum is exact and no optimizer
-    runs: an invariant F is constant on the orbit (V = I), and a tree whose
-    state-anchored leaves share psi has every such leaf, and so the tree, at
-    its minimum where V maps the ground eigenvector of 1j*X onto psi.  Otherwise
-    (Randers leaves, leaves on different states, custom F) V is charted as
-    exp(sum_i c_i T_i) over the su basis and minimized by multi-start
-    Nelder-Mead; the identity chart point is always one start, so the result
-    can never exceed the plain branch value.
+    the fixed principal branch.  When F's ``orbit_minimizer`` gives a V, the
+    minimum is F(V X V†) and no optimizer runs: V = I for an invariant F, V
+    maps the ground eigenvector of 1j*X onto psi for ml and mt, and a Randers
+    leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
+    its own closed form; a tree takes the V its varying leaves share.
+    Otherwise V is charted as exp(sum_i c_i T_i) over the su basis and
+    minimized from several starts: by BFGS on a central-difference gradient
+    when F is ``orbit_smooth``, else by Nelder-Mead.  The identity chart point
+    is always one start, so the result can never exceed the plain branch value.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
@@ -161,9 +164,8 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     n = len(x)
     require_dim(func, n)
     rng = _as_rng(seed)
-    states = func.orbit_states
-    if states is not None and all(np.array_equal(s, states[0]) for s in states):
-        conjugator = _orbit_minimizer(x, states[0] if states else None)
+    conjugator = func.orbit_minimizer(x)
+    if conjugator is not None:
         f_value = func.value(conjugator @ x @ conjugator.conj().T)
         return SpeedLimitResult(
             time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
@@ -175,13 +177,25 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
         v = expm(from_coords(coords, n))
         return func.value(v @ x @ v.conj().T)
 
+    if func.orbit_smooth:
+        steps = GRADIENT_STEP * np.eye(n * n - 1)
+
+        def gradient(coords: np.ndarray) -> np.ndarray:
+            # the 2(n**2 - 1) stencil points in one stacked expm and one values call
+            ahead, behind = coords + steps, coords - steps
+            v = expm(from_coords(np.concatenate([ahead, behind]), n))
+            f = func.values(v @ x @ v.conj().transpose(0, 2, 1))
+            return (f[:len(steps)] - f[len(steps):]) / np.diagonal(ahead - behind)
+
+        options = {"method": "BFGS", "jac": gradient,
+                   "options": {"gtol": GRADIENT_TOL, "maxiter": SEARCH_MAXITER}}
+    else:
+        options = {"method": "Nelder-Mead",
+                   "options": {"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
+                               "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER}}
     starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
                                       for _ in range(restarts - 1)]
-
-    results = [scipy.optimize.minimize(
-        objective, start, method="Nelder-Mead",
-        options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
-                 "maxiter": SIMPLEX_MAXITER, "maxfev": 2 * SIMPLEX_MAXITER}) for start in starts]
+    results = [scipy.optimize.minimize(objective, start, **options) for start in starts]
     # the lowest value wins, ties broken by the coordinates, then by start order
     best = min(results, key=lambda res: (float(res.fun), tuple(res.x.tolist())))
     best_value = float(best.fun)
@@ -199,26 +213,9 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     )
     if not any_converged:
         raise OptimizerDidNotConvergeError(
-            f"no restart converged within {SIMPLEX_MAXITER} iterations; "
+            f"no restart converged within {SEARCH_MAXITER} iterations; "
             f"best value so far {best_value:.17g}", best=result)
     return result
-
-
-def _orbit_minimizer(x: np.ndarray, psi: Optional[np.ndarray]) -> np.ndarray:
-    """Special unitary V with V u_0 proportional to psi, u_0 the ground
-    eigenvector of 1j*X; the identity when there is no state.
-
-    V = W u†, with u the eigenvectors of 1j*X (ground first) and W a QR
-    completion of psi, so V X V† = W diag(-1j*w) W† and psi is an
-    eigenvector of it up to roundoff.
-    """
-    n = len(x)
-    if psi is None:
-        return np.eye(n, dtype=np.complex128)
-    _, u = np.linalg.eigh(1j * x)
-    w, _ = np.linalg.qr(np.column_stack([psi, np.eye(n)]))
-    v = w @ u.conj().T
-    return v / np.linalg.det(v) ** (1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,26 @@ def require_special_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
+def _as_square_stack(m) -> np.ndarray:
+    """``as_square_matrix``, also accepting an (m, n, n) stack of square matrices."""
+    m = np.asarray(m, dtype=np.complex128)
+    return m if m.ndim == 3 and m.shape[1] == m.shape[2] else as_square_matrix(m)
+
+
 def require_algebra_element(a) -> np.ndarray:
     """Validate A† = -A and tr A = 0 within ALGEBRA_ATOL."""
-    a = as_square_matrix(a)
+    return _require_algebra(as_square_matrix(a))
+
+
+def _require_algebra(a: np.ndarray) -> np.ndarray:
+    """``require_algebra_element`` on a square matrix or on each matrix of a
+    stack, reporting the worst defect and the largest trace."""
     with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, refused below
-        defect = float(np.max(np.abs(a + a.conj().T)))
+        defect = float(np.max(np.abs(a + a.conj().swapaxes(-1, -2))))
     if not defect <= ALGEBRA_ATOL:
         raise InvariantViolationError(f"matrix is not anti-Hermitian: max|A + A†| = {defect:.3e}")
-    tr = complex(np.trace(a))
+    traces = np.trace(a, axis1=-2, axis2=-1)
+    tr = complex(traces if a.ndim == 2 else traces[np.argmax(np.abs(traces))])
     if not abs(tr) <= ALGEBRA_ATOL:
         raise InvariantViolationError(f"matrix is not traceless: tr = {tr:.3e}")
     return a
@@ -141,17 +153,18 @@ def eig_normal(m) -> SpectralDecomposition:
 # ---------------------------------------------------------------------------
 
 def expm(a) -> np.ndarray:
-    """exp(A) for a traceless anti-Hermitian A, via eigendecomposition of iA.
+    """exp(A) for a traceless anti-Hermitian A, or for each matrix of an
+    (m, n, n) stack, via eigendecomposition of iA (one batched call).
 
     The result is special unitary by construction: the eigenvalues of A are
     purely imaginary and sum to zero.
     """
-    a = require_algebra_element(a)
+    a = _require_algebra(_as_square_stack(a))
     try:
         w, v = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -393,9 +406,7 @@ def su_basis(n: int) -> np.ndarray:
 def basis_coords(a) -> np.ndarray:
     """Real coordinates of an algebra element in the su_basis chart, or one
     row of them per element of an (m, n, n) stack."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 3:
-        a = as_square_matrix(a)
+    a = _as_square_stack(a)
     return -np.einsum("kij,...ji->...k", su_basis(a.shape[-1]), a).real
 
 

@@ -469,8 +469,9 @@ def test_invariance_memory_does_not_grow_with_samples(capsys):
 
 
 # sha256 of stdout, recorded when F was evaluated one point at a time (the
-# geodesic reports since their residual is the first difference of F**2): how
-# F is evaluated may change, these reports may not.
+# geodesic reports since their residual is the first difference of F**2, and
+# since mt takes its variance as |(H - mean) psi|**2): how F is evaluated may
+# change, these reports may not.
 MAX_S2_RANGE = ('{"kind": "max", "children": [{"kind": "schatten", "params": {"p": 2}}, '
                 '{"kind": "op_shifted"}]}')
 ML2_QUBIT = '{"kind": "ml", "params": {"p": 2, "psi": {"dim": 2, "re": [1, 0], "im": [0, 0]}}}'
@@ -481,9 +482,9 @@ STDOUT_PINS = [
     (("classify", "--constraint", ML2_QUBIT),
      "8d6cb8680b18b01cfe3847ca69664793eee0896617a3b7c6a3ce189c57486c4a"),
     (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "0"),
-     "a897936795827a6f623edb12b381844cca1caf647eba2d908c6afa3751ce259c"),
+     "62fb667036a6409f322900b3a5efc6929244718f549570ce99cfa81fd8af13f8"),
     (("geodesic", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--branch-sweep", "1"),
-     "a6d4d253c15072377c52446003603160b0168f153bb44eef340307a2babb03e6"),
+     "97112471c60fe8203f6da2af2bc7137740b5213ddaecd747e5e1aa36c41d8877"),
     (("action", "--constraint", SCHATTEN2, "--trajectory", "traj.json"),
      "3be4753f8332c79b7e0e8d329bfa255d8dab8005de847503fab5f588f71c66bf"),
 ]

@@ -239,26 +239,47 @@ def test_unitarily_invariant_marks_spectral_atoms_and_their_combinators():
     assert marked == {"schatten", "op_shifted", "sum", "max", "min", "geomean"}
 
 
-def test_orbit_states_name_the_anchoring_states_of_the_tree():
-    # () for functions of the spectrum, the state for ml and mt, concatenated
-    # through combinators, and None wherever a Randers leaf or a custom
-    # constraint enters the tree
+def test_orbit_minimizer_is_a_fact_of_each_class():
+    # the identity for functions of the spectrum; ml and mt carry the ground
+    # eigenvector of 1j*X onto psi; Randers closes on SU(2) with no oneform
+    # and for a scalar metric.  A tree closes when its varying leaves give one
+    # V, and is None (searched) wherever a leaf has none or two leaves differ
+    x = random_algebra_element(3, np.random.default_rng(5))
     psi, other = basis_state(3), basis_state(3, 1)
-
-    def listed(func):
-        states = func.orbit_states
-        return None if states is None else [s.tolist() for s in states]
-
     for func in catalog(3):
         if func.unitarily_invariant:
-            assert listed(func) == [], func.kind
-    kinds = {f.kind: listed(f) for f in catalog(3) if not f.unitarily_invariant}
-    assert kinds == {"ml": [psi.tolist()], "mt": [psi.tolist()], "randers": None,
-                     "powmean": [psi.tolist()]}
-    pair = Max(children=(GroundShiftedMoment(p=1, psi=psi), EnergyUncertainty(psi=other)))
-    assert listed(pair) == [psi.tolist(), other.tolist()]
-    assert listed(Sum(children=(Schatten(p=2), randers_pair(3)))) is None
-    assert listed(Sum(children=(Schatten(p=2), SpectrumNorm()))) is None
+            assert np.array_equal(func.orbit_minimizer(x), np.eye(3)), func.kind
+    v = GroundShiftedMoment(p=1, psi=psi).orbit_minimizer(x)
+    w, u = np.linalg.eigh(1j * x)
+    assert abs(abs(np.vdot(u[:, 0], v.conj().T @ psi)) - 1.0) < 1e-12
+    for func in (EnergyUncertainty(psi=psi),
+                 PowerMean(p=3, children=(Schatten(p=2), EnergyUncertainty(psi=psi))),
+                 Max(children=(GroundShiftedMoment(p=2, psi=psi), EnergyUncertainty(psi=psi)))):
+        assert np.array_equal(func.orbit_minimizer(x), v), func.kind
+    for func in (Max(children=(GroundShiftedMoment(p=1, psi=psi), EnergyUncertainty(psi=other))),
+                 randers_pair(3), randers_pair(3, drift=0.3),
+                 Sum(children=(Schatten(p=2), randers_pair(3))),
+                 Sum(children=(Schatten(p=2), SpectrumNorm()))):
+        assert func.orbit_minimizer(x) is None, func.kind
+    drift = np.zeros(8)
+    drift[[0, 7]] = 0.2, -0.15
+    assert Randers(metric=2.0 * np.eye(8), oneform=drift).orbit_minimizer(x) is not None
+    x2 = random_algebra_element(2, np.random.default_rng(6))
+    assert randers_pair(2).orbit_minimizer(x2) is not None
+    assert randers_pair(2, drift=0.3).orbit_minimizer(x2) is None
+
+
+def test_orbit_smooth_marks_trees_a_gradient_search_may_take():
+    # Randers and invariant leaves joined by sums and means; max and min kink
+    # where their arms tie, and ml, mt and custom constraints are not marked
+    smooth = {f.kind: f.orbit_smooth for f in catalog(3)}
+    assert [k for k, flag in smooth.items() if flag] == [
+        "schatten", "op_shifted", "randers", "sum", "max", "min", "geomean"]
+    assert not smooth["powmean"]  # powmean(s2, mt)
+    assert Sum(children=(Schatten(p=2), randers_pair(3))).orbit_smooth
+    assert GeometricMean(p=2, children=(randers_pair(3), SpectralRange())).orbit_smooth
+    assert not Max(children=(Schatten(p=2), randers_pair(3))).orbit_smooth
+    assert not Sum(children=(Schatten(p=2), SpectrumNorm())).orbit_smooth
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,9 +27,11 @@ from qslkit import (
     TooFewSamplesError,
     action,
     analytic_bounds,
+    basis_coords,
     basis_state,
     conj_min_time,
     evaluate,
+    from_coords,
     gate_time,
     haar_su,
     log_branches,
@@ -344,8 +346,9 @@ def test_conj_min_against_grid_oracle():
 
 
 class Opaque(Constraint):
-    """Forwards ``value`` and ``dim`` and nothing else, so its ``orbit_states``
-    is the base's None and conj_min_time runs its search."""
+    """Forwards ``value`` and ``dim`` and nothing else, so its
+    ``orbit_minimizer`` is the base's None, it is not ``orbit_smooth``, and
+    conj_min_time runs its Nelder-Mead search: the reference path."""
 
     def __init__(self, func):
         self.func = func
@@ -373,26 +376,27 @@ def orbit_catalog(psi):
 @example(n=4, seed=5, pick=4, basis=False)
 @example(n=3, seed=6, pick=5, basis=True)
 def test_conj_min_closed_form_is_the_orbit_minimum(n, seed, pick, basis):
-    # no search finds less, the conjugator is special unitary, and it
-    # reproduces f_value bit for bit.  The search is capped at 2,000
-    # iterations per restart (mt on a random state can run all 20,000): the
-    # value it stops at is attained all the same.  mt is the square root of a
-    # variance, which rounding near zero moves by 1e-16 * |X|**2, so mt
-    # compares F**2
-    import qslkit.gatetime as gt
     rng = np.random.default_rng(seed)
     gate = haar_su(n, rng)
     psi = basis_state(n) if basis else haar_su(n, rng)[:, 0]
-    func = orbit_catalog(psi)[pick]
-    res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
+    assert_closed_form_minimum(orbit_catalog(psi)[pick], gate, seed)
+
+
+def assert_closed_form_minimum(func, gate, seed, restarts=4):
+    """No search finds less, the conjugator is special unitary, and it
+    reproduces f_value bit for bit, with no optimizer.  The reference search is
+    capped at 2,000 iterations per restart: the value it stops at is attained
+    all the same."""
+    import qslkit.gatetime as gt
+    n = len(gate)
+    res = conj_min_time(func, 1.0, gate, restarts=restarts, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gt, "SIMPLEX_MAXITER", 2_000)
+        mp.setattr(gt, "SEARCH_MAXITER", 2_000)
         try:
-            ref = conj_min_time(Opaque(func), 1.0, gate, restarts=4, seed=seed)
+            ref = conj_min_time(Opaque(func), 1.0, gate, restarts=restarts, seed=seed)
         except OptimizerDidNotConvergeError as exc:
             ref = exc.best
-    power = 2.0 if func.kind == "mt" else 1.0
-    assert res.f_value ** power <= ref.f_value ** power + 1e-9
+    assert res.f_value <= ref.f_value + 1e-9
     v = res.conjugator
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
     assert abs(np.linalg.det(v) - 1.0) <= 1e-12
@@ -400,6 +404,7 @@ def test_conj_min_closed_form_is_the_orbit_minimum(n, seed, pick, basis):
     assert res.time == res.f_value
     assert res.diagnostics == Diagnostics(branches_considered=1, optimizer_iterations=0,
                                           converged=True)
+    return res
 
 
 def test_conj_min_closed_form_validates_and_draws_nothing():
@@ -413,22 +418,105 @@ def test_conj_min_closed_form_validates_and_draws_nothing():
         conj_min_time(func, 1.0, gate, restarts=0)
     with pytest.raises(ValueError):
         conj_min_time(func, 1.0, gate, seed=-1)
-    code = ("import sys, qslkit as q; "
+    # both Randers closed forms too: SU(2) with no oneform, and a scalar metric
+    code = ("import sys, numpy as np, qslkit as q; "
             "q.conj_min_time(q.Schatten(p=2), 1.0, q.haar_su(2, 1)); "
             "q.conj_min_time(q.EnergyUncertainty(psi=q.basis_state(2)), 1.0, q.haar_su(2, 1)); "
+            "q.conj_min_time(q.Randers(metric=np.diag([1.0, 0.49, 0.25]), oneform=np.zeros(3)), "
+            "1.0, q.haar_su(2, 1)); "
+            "q.conj_min_time(q.Randers(metric=np.eye(8), oneform=np.full(8, 0.1)), "
+            "1.0, q.haar_su(3, 1)); "
             "print('scipy.optimize' in sys.modules)")
     assert child_stdout(code) == "False"
 
 
-@pytest.mark.parametrize("func", [
-    Sum(children=(Schatten(p=2), Randers(metric=np.diag(RANDERS_METRIC_DIAG),
-                                         oneform=np.zeros(3)))),
-    Max(children=(GroundShiftedMoment(p=1, psi=basis_state(2)),
-                  EnergyUncertainty(psi=basis_state(2, 1)))),
+# a Randers leaf with no closed form on SU(2): a non-scalar metric and a oneform
+RANDERS_DRIFT2 = Randers(metric=np.diag(RANDERS_METRIC_DIAG), oneform=np.array([0.2, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("func,method", [
+    (Sum(children=(Schatten(p=2), RANDERS_DRIFT2)), "BFGS"),
+    (Max(children=(GroundShiftedMoment(p=1, psi=basis_state(2)),
+                   EnergyUncertainty(psi=basis_state(2, 1)))), "Nelder-Mead"),
 ], ids=["randers_tree", "states_differ"])
-def test_conj_min_searches_when_no_closed_form_applies(func):
+def test_conj_min_searches_when_no_closed_form_applies(monkeypatch, func, method):
+    import scipy.optimize
+    methods = []
+    minimize = scipy.optimize.minimize
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     res = conj_min_time(func, 1.0, haar_su(2, seed=10), restarts=2, seed=0)
     assert res.diagnostics.optimizer_iterations > 0
+    assert methods == [method, method]
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), combine=st.sampled_from([None, Sum, Max]))
+@example(seed=1, combine=None)
+@example(seed=2, combine=Sum)
+@example(seed=3, combine=Max)
+def test_conj_min_randers_su2_closed_form(seed, combine):
+    # SU(2), a random positive-definite metric and no oneform: the orbit is
+    # the sphere |c| = r and the minimum r * sqrt(lambda_min(M)), alone and
+    # as the one varying leaf of a tree
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((3, 3))
+    metric = root @ root.T + 0.1 * np.eye(3)
+    func = Randers(metric=metric, oneform=np.zeros(3))
+    gate = haar_su(2, rng)
+    res = assert_closed_form_minimum(tree(func, combine), gate, seed)
+    if combine is None:
+        r = np.linalg.norm(basis_coords(res.branch.value))
+        assert abs(res.f_value - r * np.sqrt(np.linalg.eigvalsh(metric)[0])) < 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       combine=st.sampled_from([None, Sum, Max]))
+@example(n=2, seed=1, combine=None)
+@example(n=3, seed=2, combine=Sum)
+@example(n=4, seed=3, combine=None)
+@example(n=3, seed=4, combine=Max)
+def test_conj_min_randers_scalar_metric_closed_form(n, seed, combine):
+    # metric m*I and any oneform b: |c| is constant on the orbit and b.c is
+    # least at von Neumann's pairing of the spectra of 1j*W and 1j*X
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.5, 2.0)
+    drift = rng.standard_normal(n * n - 1)
+    drift *= rng.uniform(0.0, 0.9) * np.sqrt(scale) / np.linalg.norm(drift)
+    func = Randers(metric=scale * np.eye(n * n - 1), oneform=drift)
+    gate = haar_su(n, rng)
+    res = assert_closed_form_minimum(tree(func, combine), gate, seed, restarts=2)
+    if combine is None:
+        x = res.branch.value
+        alpha = np.linalg.eigvalsh(1j * from_coords(drift, n))
+        beta = np.linalg.eigvalsh(1j * x)
+        exact = np.sqrt(scale) * np.linalg.norm(basis_coords(x)) + alpha @ beta[::-1]
+        assert abs(res.f_value - exact) < 1e-12
+
+
+def tree(func, combine):
+    """``func`` alone or joined by ``combine`` with an invariant leaf."""
+    return func if combine is None else combine(children=(Schatten(p=2), func))
+
+
+def test_conj_min_bfgs_matches_nelder_mead_on_randers_su3():
+    # the gradient search on the diagonal n = 3 metric, which has no closed
+    # form, against the Nelder-Mead reference from the same starts
+    func = Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
+    assert func.orbit_minimizer(np.zeros((3, 3))) is None and func.orbit_smooth
+    for seed in range(6):
+        gate = haar_su(3, seed=500 + seed)
+        res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
+        ref = conj_min_time(Opaque(func), 1.0, gate, restarts=4, seed=seed)
+        assert res.f_value <= ref.f_value + 1e-9
+        assert 0 < res.diagnostics.optimizer_iterations < ref.diagnostics.optimizer_iterations
+        v = res.conjugator
+        assert evaluate(func, v @ res.branch.value @ v.conj().T, validate=False) == res.f_value
 
 
 def test_conj_min_result_fields():
@@ -562,11 +650,11 @@ def test_branch_minimum_matches_brute_force():
 def test_conj_min_nonconvergence_carries_best(monkeypatch):
     import qslkit.gatetime as gt
     from qslkit import OptimizerDidNotConvergeError
-    monkeypatch.setattr(gt, "SIMPLEX_MAXITER", 1)
-    # the criterion-7 Randers constraint: no closed form, so the optimizer runs
-    randers = Randers(metric=np.diag(RANDERS_METRIC_DIAG), oneform=np.zeros(3))
+    monkeypatch.setattr(gt, "SEARCH_MAXITER", 1)
+    # the n = 3 diagonal Randers constraint: no closed form, so BFGS runs
+    randers = Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
     with pytest.raises(OptimizerDidNotConvergeError) as exc:
-        conj_min_time(randers, 1.0, orthogonalizer(np.pi, 2), restarts=2, seed=0)
+        conj_min_time(randers, 1.0, haar_su(3, seed=7), restarts=2, seed=0)
     best = exc.value.best
     assert best is not None
     assert not best.diagnostics.converged

@@ -111,6 +111,23 @@ def test_expm_rejects_non_algebra_input():
         expm(np.eye(2))
 
 
+def test_expm_takes_a_stack_and_checks_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_algebra_element(3, rng) for _ in range(5)])
+    out = expm(stack)
+    for a, u in zip(stack, out):
+        assert np.max(np.abs(u - expm(a))) <= 1e-14
+    bad = stack.copy()
+    bad[3] += 1e-6j * np.eye(3)  # anti-Hermitian but not traceless
+    with pytest.raises(InvariantViolationError, match="traceless: tr = 0.000e"):
+        expm(bad)
+    bad[3] = np.eye(3)
+    with pytest.raises(InvariantViolationError, match="anti-Hermitian"):
+        expm(bad)
+    with pytest.raises(DimensionMismatchError):
+        expm(np.zeros((2, 2, 3)))
+
+
 @pytest.mark.parametrize("entry,pos", [(np.nan, (0, 0)), (np.nan, (0, 1)),
                                        (np.inf, (1, 1)), (complex(0, np.nan), (1, 0))])
 def test_require_special_unitary_rejects_non_finite(entry, pos):
