@@ -74,9 +74,9 @@ STATE_ATOL = 1e-12
 
 # Most matrix entries (128 KB of complex128) a sampled check puts in one
 # stacked ``values`` call, so its memory stays bounded whatever its sample
-# count.  The finite-difference stencils are not chunked: the geodesic
-# residual, the slope of F**2 along each [X, T_i], takes 2(n**2 - 1) points,
-# twice the commutator stack the check holds anyway.
+# count.  The geodesic check fills a call with the stencils of whole
+# logarithm branches, 2(n**2 - 1) points each (17 branches at n = 4); from
+# n = 9 one branch exceeds the bound and takes a call of its own.
 STACK_ENTRIES = 8192
 
 
@@ -158,9 +158,13 @@ class Constraint:
     ``orbit_minimizer(x)`` is a special unitary V at which F(V X V†) is least
     over the adjoint orbit of X, or None when the class knows no closed form:
     the identity for an invariant F, which is constant on the orbit, and each
-    class's own minimizer otherwise.  ``orbit_smooth`` says that F is smooth
-    along the orbit away from X = 0, so a gradient search may minimize it
-    there.  ``gatetime.conj_min_time`` reads both.
+    class's own minimizer otherwise.  ``orbit_covector(y)`` is the slope of F
+    along the orbit through Y: a matrix G with
+    d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for every W in
+    su(n), or None where F may kink on the orbit (max and min of a varying
+    child, the state-anchored atoms, custom constraints); it is zero for an
+    invariant F.
+    ``gatetime.conj_min_time`` reads both.
 
     A subclass defines F through ``values`` or, for a custom constraint,
     through ``value`` alone; each defaults to the other.
@@ -174,9 +178,8 @@ class Constraint:
     def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
 
-    @property
-    def orbit_smooth(self) -> bool:
-        return self.unitarily_invariant
+    def orbit_covector(self, y: np.ndarray) -> Optional[np.ndarray]:
+        return np.zeros_like(y) if self.unitarily_invariant else None
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -381,7 +384,6 @@ class Randers(Constraint):
     metric: np.ndarray
     oneform: np.ndarray
     kind = "randers"
-    orbit_smooth = True
 
     def __post_init__(self):
         metric = np.asarray(self.metric, dtype=float)
@@ -427,6 +429,15 @@ class Randers(Constraint):
     def kink_margin(self, a, w) -> float:
         # smooth everywhere except at the origin
         return float(np.linalg.norm(a))
+
+    def orbit_covector(self, y) -> np.ndarray:
+        # dF = (M c / sqrt(c.M.c) + b) . dc, and dc_j = -Re tr(T_j dY); the
+        # orbit of Y = 0 is the one point, where any G will do
+        c = basis_coords(y)
+        quad = c @ self.metric @ c
+        if not quad > 0.0:
+            return np.zeros_like(y)
+        return from_coords(self.metric @ c / np.sqrt(quad) + self.oneform, len(y))
 
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         n = len(x)
@@ -485,9 +496,13 @@ class _Combinator(Constraint):
             return None
         return found[0]
 
-    @property
-    def orbit_smooth(self) -> bool:
-        return all(c.orbit_smooth for c in self.children)
+    def orbit_covector(self, y) -> Optional[np.ndarray]:
+        # the chain rule: G = dF/dF1 G1 + dF/dF2 G2
+        found = [c.orbit_covector(y) for c in self.children]
+        if any(g is None for g in found):
+            return None
+        s1, s2 = self.slopes(y)
+        return s1 * found[0] + s2 * found[1]
 
     def values(self, stack) -> np.ndarray:
         return self.combine(*(c.values(stack) for c in self.children))
@@ -508,11 +523,12 @@ class Sum(_Combinator):
     def combine(self, v1, v2):
         return v1 + v2
 
+    def slopes(self, y):
+        return 1.0, 1.0
+
 
 class _Extremum(_Combinator):
-    @property
-    def orbit_smooth(self) -> bool:
-        return self.unitarily_invariant  # kinks where the arms tie
+    orbit_covector = Constraint.orbit_covector  # kinks where the arms tie
 
     def kink_margin(self, a, w) -> float:
         # kinks where the arms tie
@@ -538,6 +554,12 @@ class _Mean(_Combinator):
         if self.lost(out, v1, v2).any():
             raise InvalidParameterError(f"{self.kind} exponent p = {self.p} {self.loss}")
         return out
+
+    def slopes(self, y):
+        # a child at 0 is at its least on the orbit, so it adds no slope
+        v = [c.value(y) for c in self.children]
+        f = self.combine(*v)
+        return tuple(self.slope(vi, f) if vi > 0.0 else 0.0 for vi in v)
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes
@@ -574,6 +596,9 @@ class PowerMean(_Mean):
     def combine(self, v1, v2):
         return (v1 ** self.p + v2 ** self.p) ** (1.0 / self.p)
 
+    def slope(self, v, f):
+        return (v / f) ** (self.p - 1.0)
+
     def lost(self, out, v1, v2) -> np.ndarray:
         return (out == 0.0) & ((v1 != 0.0) | (v2 != 0.0))
 
@@ -589,6 +614,9 @@ class GeometricMean(_Mean):
 
     def combine(self, v1, v2):
         return (v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p))
+
+    def slope(self, v, f):
+        return 0.5 * f / v  # F = sqrt(F1 F2) for every p
 
     def lost(self, out, v1, v2) -> np.ndarray:
         # the mean is sqrt(F1 * F2) for every p, but F**p underflows to 0 at

@@ -44,16 +44,16 @@ from .linalg import (
     principal_log,
     _as_rng,
     _eigen_clusters,
+    _expm_eigh,
 )
 
 # Search defaults, for the F whose conjugation minimum has no closed form.
-# Trees that are smooth along the orbit (Randers and invariant leaves joined
-# by sums and means) run BFGS on a central-difference gradient in the chart,
-# stopped at gradient norm GRADIENT_TOL; the others (max/min, states that
-# differ, custom F) may kink, so they run Nelder-Mead to simplex diameter
-# SIMPLEX_TOL.  Either search stops at SEARCH_MAXITER iterations.
+# Trees with an orbit covector (Randers and invariant leaves joined by sums
+# and means) run BFGS on the exact chart gradient, stopped at gradient norm
+# GRADIENT_TOL; the others (max/min, states that differ, custom F) may kink,
+# so they run Nelder-Mead to simplex diameter SIMPLEX_TOL.  Either search
+# stops at SEARCH_MAXITER iterations.
 GRADIENT_TOL = 1e-6
-GRADIENT_STEP = 6e-6
 SIMPLEX_TOL = 1e-9
 SEARCH_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
@@ -152,9 +152,11 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
     its own closed form; a tree takes the V its varying leaves share.
     Otherwise V is charted as exp(sum_i c_i T_i) over the su basis and
-    minimized from several starts: by BFGS on a central-difference gradient
-    when F is ``orbit_smooth``, else by Nelder-Mead.  The identity chart point
-    is always one start, so the result can never exceed the plain branch value.
+    minimized from several starts: by BFGS when F has an ``orbit_covector``,
+    else by Nelder-Mead.  BFGS takes F and its exact chart gradient from the
+    one eigendecomposition that forms V, so F(V X V†) is evaluated as the
+    returned conjugator reproduces it.  The identity chart point is always one
+    start, so the result can never exceed the plain branch value.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
@@ -173,23 +175,28 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
                                                  optimizer_iterations=0, converged=True))
     import scipy.optimize  # deferred: it is most of the package's import time
 
-    def objective(coords: np.ndarray) -> float:
-        v = expm(from_coords(coords, n))
-        return func.value(v @ x @ v.conj().T)
+    if func.orbit_covector(x) is not None:
+        def objective(coords: np.ndarray) -> tuple[float, np.ndarray]:
+            # Y = V X V† and G its covector: dF = -Re tr(dV V† [Y, G]), and with
+            # iA = U diag(w) U† the derivative of exp is dV = U (Phi o U† dA U) U†,
+            # Phi the divided differences of e^{-iw} (Daleckii-Krein).  So the
+            # gradient is coords(U (Psi o U† [Y, G] U) U†): Psi_kl = e^{i d/2} sinc(d/2)
+            # for d = w_k - w_l is Phi with V's own factor folded in, 1 at d = 0
+            v, w, u = _expm_eigh(from_coords(coords, n))
+            y = v @ x @ v.conj().T
+            f = func.value(y)  # first: it refuses the values the slopes would divide by
+            g = func.orbit_covector(y)
+            d = w[:, None] - w
+            k = u.conj().T @ (y @ g - g @ y) @ u
+            return f, basis_coords(u @ (np.exp(0.5j * d) * np.sinc(d / TWO_PI) * k) @ u.conj().T)
 
-    if func.orbit_smooth:
-        steps = GRADIENT_STEP * np.eye(n * n - 1)
-
-        def gradient(coords: np.ndarray) -> np.ndarray:
-            # the 2(n**2 - 1) stencil points in one stacked expm and one values call
-            ahead, behind = coords + steps, coords - steps
-            v = expm(from_coords(np.concatenate([ahead, behind]), n))
-            f = func.values(v @ x @ v.conj().transpose(0, 2, 1))
-            return (f[:len(steps)] - f[len(steps):]) / np.diagonal(ahead - behind)
-
-        options = {"method": "BFGS", "jac": gradient,
+        options = {"method": "BFGS", "jac": True,
                    "options": {"gtol": GRADIENT_TOL, "maxiter": SEARCH_MAXITER}}
     else:
+        def objective(coords: np.ndarray) -> float:
+            v = expm(from_coords(coords, n))
+            return func.value(v @ x @ v.conj().T)
+
         options = {"method": "Nelder-Mead",
                    "options": {"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
                                "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER}}

@@ -147,21 +147,31 @@ class TensorProbe:
 
     def __post_init__(self):
         object.__setattr__(self, "base", require_algebra_element(self.base))
-        if not (self.step > 0.0):
-            raise InvalidParameterError(f"step must be positive, got {self.step}")
+        _require_step(self.step)
 
 
-def _squares(func, probe: TensorProbe, build) -> tuple[float, np.ndarray]:
-    """h = probe.step * |base|_F and F**2 on the stencil ``build(h)`` in one
-    ``values`` call, refusing a step that underflows or a stencil that overflows."""
-    h = probe.step * float(np.linalg.norm(probe.base))
+def _require_step(step: float) -> None:
+    if not (step > 0.0):
+        raise InvalidParameterError(f"step must be positive, got {step}")
+
+
+def _stencil(base: np.ndarray, step: float, build) -> tuple[float, np.ndarray]:
+    """h = step * |base|_F and the stencil ``build(h)``, refusing a step that
+    is not positive or underflows, or a stencil that overflows."""
+    _require_step(step)
+    h = step * float(np.linalg.norm(base))
     if h < 1e-12:
         raise StepUnderflowError(f"finite-difference step underflow: h = {h:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
         stencil = build(h)
     if not np.isfinite(stencil).all():
         raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
-    return h, con._scalar_powers(func.values(stencil), 2)
+    return h, stencil
+
+
+def _squares(func, stencil: np.ndarray) -> np.ndarray:
+    """F**2 at each point of a stencil, in one ``values`` call."""
+    return con._scalar_powers(func.values(stencil), 2)
 
 
 def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, float]:
@@ -186,9 +196,10 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, 
             "fundamental tensor is undefined where F vanishes (origin of a "
             f"positive-homogeneous function): F(base) = {f0:.3e}")
     # base +- step*u +- step*v at steps h and h/2
-    h, fsq = _squares(func, probe, lambda h: np.stack([
+    h, stencil = _stencil(base, probe.step, lambda h: np.stack([
         corner for step in (h, h / 2.0) for side in (base + step * u, base - step * u)
         for corner in (side + step * v, side - step * v)]))
+    fsq = _squares(func, stencil)
     steps = np.array([h, h / 2.0])
     upp, upm, ump, umm = fsq.reshape(2, 4).T
     g_full, g_half = 0.5 * ((upp - upm - ump + umm) / (4.0 * steps * steps))
@@ -228,20 +239,43 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
     F**2 is homogeneous of degree 2, so by Euler's theorem g_X(X, D) is half
     the slope of F**2 at X along D: for D_i = [X, T_i] the residual is
     (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h relative to |X|_F."""
-    x = require_algebra_element(x)
-    con.require_dim(func, x.shape[0])
-    fx = func.value(x)
-    if not fx > 0.0:
-        raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
-    basis = su_basis(x.shape[0])
-    d = x @ basis - basis @ x
-    h, fsq = _squares(func, TensorProbe(base=x, step=step),
-                      lambda h: np.concatenate([x + h * d, x - h * d]))
-    residuals = np.subtract(*fsq.reshape(2, len(d))) / (4.0 * h)
-    normalized_max = float(np.max(np.abs(residuals)) / fx ** 2)
-    return GeodesicReport(residuals=residuals, normalized_max=normalized_max,
-                          passes=normalized_max < threshold,
-                          threshold=threshold, step=step)
+    return _geodesic_reports(func, [x], step, threshold)[0]
+
+
+def _geodesic_reports(func, xs, step: float, threshold: float) -> list[GeodesicReport]:
+    """``geodesic_vector_check`` at each X of ``xs``: the reports, and the
+    first error, of a loop over xs.  The stencils of whole X share one
+    ``values`` call per chunk of at most STACK_ENTRIES entries, or of one X."""
+    reports, chunk = [], []
+
+    def flush():
+        pending = chunk.copy()
+        chunk.clear()
+        if pending:
+            fsq = _squares(func, np.concatenate([stencil for _, _, stencil in pending]))
+            for (fx, h, _), f in zip(pending, np.split(fsq, len(pending))):
+                residuals = np.subtract(*f.reshape(2, -1)) / (4.0 * h)
+                normalized_max = float(np.max(np.abs(residuals)) / fx ** 2)
+                reports.append(GeodesicReport(residuals=residuals, normalized_max=normalized_max,
+                                              passes=normalized_max < threshold,
+                                              threshold=threshold, step=step))
+
+    try:
+        for x in xs:
+            x = require_algebra_element(x)
+            con.require_dim(func, x.shape[0])
+            fx = func.value(x)
+            if not fx > 0.0:
+                raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
+            basis = su_basis(x.shape[0])
+            d = x @ basis - basis @ x
+            h, stencil = _stencil(x, step, lambda h: np.concatenate([x + h * d, x - h * d]))
+            if sum(s.size for *_, s in chunk) + stencil.size > con.STACK_ENTRIES:
+                flush()
+            chunk.append((fx, h, stencil))
+    finally:
+        flush()  # on an error at X too: the loop evaluated the X before it first
+    return reports
 
 
 def gate_geodesic_check(func, gate, step: float = FD_STEP,
@@ -262,9 +296,9 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     if branch_sweep < 0:
         raise InvalidParameterError(f"branch_sweep must be >= 0, got {branch_sweep}")
     shifts, _ = clusters.search_shifts(branch_sweep)
-    reports = [replace(geodesic_vector_check(func, branch.value, step=step, threshold=threshold),
-                       branch_shifts=tuple(branch.shifts.tolist()))
-               for branch in clusters.sorted_branches(shifts)]
+    branches = clusters.sorted_branches(shifts)
+    reports = [replace(rep, branch_shifts=tuple(branch.shifts.tolist())) for rep, branch in
+               zip(_geodesic_reports(func, [b.value for b in branches], step, threshold), branches)]
     return min(reports, key=lambda rep: rep.normalized_max)
 
 

@@ -159,12 +159,18 @@ def expm(a) -> np.ndarray:
     The result is special unitary by construction: the eigenvalues of A are
     purely imaginary and sum to zero.
     """
+    return _expm_eigh(a)[0]
+
+
+def _expm_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``expm`` with the decomposition iA = U diag(w) U† it is formed from:
+    (exp(A), w, U)."""
     a = _require_algebra(_as_square_stack(a))
     try:
-        w, v = np.linalg.eigh(1j * a)
+        w, u = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2), w, u
 
 
 @dataclass(frozen=True)

@@ -269,17 +269,25 @@ def test_orbit_minimizer_is_a_fact_of_each_class():
     assert randers_pair(2, drift=0.3).orbit_minimizer(x2) is None
 
 
-def test_orbit_smooth_marks_trees_a_gradient_search_may_take():
-    # Randers and invariant leaves joined by sums and means; max and min kink
-    # where their arms tie, and ml, mt and custom constraints are not marked
-    smooth = {f.kind: f.orbit_smooth for f in catalog(3)}
-    assert [k for k, flag in smooth.items() if flag] == [
+def test_orbit_covector_marks_trees_a_gradient_search_may_take():
+    # Randers and invariant leaves joined by sums and means have one, zero
+    # when the tree is invariant; max and min kink where their arms tie, and
+    # ml, mt and custom constraints have none
+    y = random_algebra_element(3, np.random.default_rng(5))
+    found = {f.kind: f.orbit_covector(y) for f in catalog(3)}
+    assert [k for k, g in found.items() if g is not None] == [
         "schatten", "op_shifted", "randers", "sum", "max", "min", "geomean"]
-    assert not smooth["powmean"]  # powmean(s2, mt)
-    assert Sum(children=(Schatten(p=2), randers_pair(3))).orbit_smooth
-    assert GeometricMean(p=2, children=(randers_pair(3), SpectralRange())).orbit_smooth
-    assert not Max(children=(Schatten(p=2), randers_pair(3))).orbit_smooth
-    assert not Sum(children=(Schatten(p=2), SpectrumNorm())).orbit_smooth
+    for func in catalog(3):
+        if func.unitarily_invariant:
+            assert np.array_equal(func.orbit_covector(y), np.zeros((3, 3))), func.kind
+    assert found["powmean"] is None  # powmean(s2, mt)
+    leaf = randers_pair(3, drift=0.3)
+    g = leaf.orbit_covector(y)
+    assert np.array_equal(Sum(children=(Schatten(p=2), leaf)).orbit_covector(y), g)
+    assert GeometricMean(p=2, children=(leaf, SpectralRange())).orbit_covector(y) is not None
+    assert Max(children=(Schatten(p=2), leaf)).orbit_covector(y) is None
+    assert Sum(children=(Schatten(p=2), SpectrumNorm())).orbit_covector(y) is None
+    assert not leaf.orbit_covector(np.zeros((3, 3), dtype=complex)).any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from qslkit import (
     DegenerateBranchTieError,
     EnergyUncertainty,
+    GeometricMean,
     GroundShiftedMoment,
     InvalidParameterError,
     InvariantViolationError,
     Max,
     OptimizerDidNotConvergeError,
+    PowerMean,
     Randers,
     Schatten,
     SpectralRange,
@@ -41,6 +43,7 @@ from qslkit import (
 from qslkit.constraints import Constraint
 from qslkit.errors import QslError
 from qslkit.gatetime import Diagnostics
+from qslkit.linalg import expm
 from qslkit.gates import orthogonalizer, qft
 
 from grid_oracle import RANDERS_METRIC_DIAG, randers_grid_min
@@ -347,7 +350,7 @@ def test_conj_min_against_grid_oracle():
 
 class Opaque(Constraint):
     """Forwards ``value`` and ``dim`` and nothing else, so its
-    ``orbit_minimizer`` is the base's None, it is not ``orbit_smooth``, and
+    ``orbit_minimizer`` and ``orbit_covector`` are the base's None and
     conj_min_time runs its Nelder-Mead search: the reference path."""
 
     def __init__(self, func):
@@ -508,7 +511,8 @@ def test_conj_min_bfgs_matches_nelder_mead_on_randers_su3():
     # the gradient search on the diagonal n = 3 metric, which has no closed
     # form, against the Nelder-Mead reference from the same starts
     func = Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
-    assert func.orbit_minimizer(np.zeros((3, 3))) is None and func.orbit_smooth
+    x = np.zeros((3, 3), dtype=complex)
+    assert func.orbit_minimizer(x) is None and func.orbit_covector(x) is not None
     for seed in range(6):
         gate = haar_su(3, seed=500 + seed)
         res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
@@ -517,6 +521,81 @@ def test_conj_min_bfgs_matches_nelder_mead_on_randers_su3():
         assert 0 < res.diagnostics.optimizer_iterations < ref.diagnostics.optimizer_iterations
         v = res.conjugator
         assert evaluate(func, v @ res.branch.value @ v.conj().T, validate=False) == res.f_value
+
+
+def smooth_trees(n, seed):
+    """Trees with an orbit covector and no closed form: a Randers leaf with a
+    random metric and oneform alone, and under a sum and the means, with an
+    invariant leaf or a second Randers leaf, so each slope of a mean counts."""
+    rng = np.random.default_rng(seed)
+    k = n * n - 1
+    root = rng.standard_normal((k, k))
+    metric = root @ root.T + 0.1 * np.eye(k)
+    drift = rng.standard_normal(k)
+    drift *= 0.5 / np.sqrt(drift @ np.linalg.solve(metric, drift))
+    leaf = Randers(metric=metric, oneform=drift)
+    other = Randers(metric=np.diag(np.linspace(1.0, 0.25, k)), oneform=np.zeros(k))
+    return [leaf, Sum(children=(Schatten(p=2), leaf)),
+            PowerMean(p=0.5, children=(leaf, SpectralRange())),
+            PowerMean(p=0.5, children=(other, leaf)),
+            PowerMean(p=3, children=(Schatten(p=1), leaf)),
+            PowerMean(p=3, children=(leaf, other)),
+            GeometricMean(p=2, children=(leaf, Schatten(p=math.inf))),
+            GeometricMean(p=2, children=(other, leaf))]
+
+
+class Captured(Exception):
+    pass
+
+
+def bfgs_objective(monkeypatch, func, gate):
+    """The function conj_min_time hands BFGS: coords -> (F, chart gradient)."""
+    import scipy.optimize
+
+    def capture(fun, x0, **kwargs):
+        assert kwargs["method"] == "BFGS" and kwargs["jac"] is True
+        raise Captured(fun)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capture)
+    with pytest.raises(Captured) as got:
+        conj_min_time(func, 1.0, gate, restarts=1)
+    return got.value.args[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bfgs_gradient_matches_central_differences(monkeypatch, n):
+    # at the identity chart point, a generic A, and an A whose iA has two
+    # eigenvalues 1e-10 apart (for n = 2, A of norm 1e-9); h = 1e-5 leaves a
+    # difference error near 1e-9, and a wrong slope errs by the gradient's size
+    rng = np.random.default_rng(70 + n)
+    k = n * n - 1
+    angles = np.concatenate([[0.4, 0.4 + 1e-10], -np.linspace(0.1, 0.5, n - 2)])
+    angles[-1] -= angles.sum()
+    q = haar_su(n, rng)
+    near = 1e-9 * rng.standard_normal(k) if n == 2 else basis_coords(
+        (q * (-1j * angles)) @ q.conj().T)
+    points = [np.zeros(k), rng.standard_normal(k), near]
+    for func in smooth_trees(n, seed=n):
+        objective = bfgs_objective(monkeypatch, func, haar_su(n, rng))
+        for c in points:
+            f, grad = objective(c)
+            h = 1e-5
+            diffs = np.array([objective(c + h * e)[0] - objective(c - h * e)[0]
+                              for e in np.eye(k)]) / (2 * h)
+            assert np.max(np.abs(grad - diffs)) < 1e-7 * max(1.0, f), func
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conj_min_on_identity_and_near_identity_gates(n):
+    # X = 0 and |X| = 1e-9: the covector is 0 or tiny, BFGS stops at its start,
+    # and no slope divides by a child's zero value (a RuntimeWarning fails)
+    a = random_algebra_element(n, np.random.default_rng(n))
+    for gate in (np.eye(n, dtype=complex), expm(1e-9 * a / np.linalg.norm(a))):
+        for func in smooth_trees(n, seed=n):
+            res = conj_min_time(func, 1.0, gate, restarts=3, seed=1)
+            assert res.f_value <= 1e-8, func
+            assert res.diagnostics == Diagnostics(branches_considered=1, optimizer_iterations=0,
+                                                  converged=True)
 
 
 def test_conj_min_result_fields():

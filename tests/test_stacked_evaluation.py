@@ -7,6 +7,7 @@ values and the state a seeding Generator is left in.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qslkit import (
     evaluate,
     fundamental_tensor_estimate,
     gate_geodesic_check,
+    geodesic_vector_check,
     haar_su,
     log_branches,
     principal_log,
@@ -31,7 +33,7 @@ from qslkit import (
     sample_generic_probe,
     su_basis,
 )
-from qslkit import constraints
+from qslkit import constraints, linalg
 from qslkit.geometry import FD_STEP, GEODESIC_THRESHOLD, NORM_SLACK
 
 from test_constraints import SpectrumNorm, catalog
@@ -183,6 +185,46 @@ def test_gate_geodesic_check_matches_the_per_direction_loop(n, sweep):
         normalized, residuals, shifts = geodesic_loop(func, gate, sweep)
         assert np.array_equal(rep.residuals, residuals), func
         assert (rep.normalized_max, rep.branch_shifts) == (normalized, shifts)
+
+
+def branch_loop(func, gate, sweep, step):
+    """gate_geodesic_check as one geodesic_vector_check per branch, the first
+    best: its report, or the first error it raises."""
+    clusters = linalg._eigen_clusters(gate)
+    shifts, _ = clusters.search_shifts(sweep)
+    reports = [replace(geodesic_vector_check(func, b.value, step=step),
+                       branch_shifts=tuple(b.shifts.tolist()))
+               for b in clusters.sorted_branches(shifts)]
+    return min(reports, key=lambda rep: rep.normalized_max)
+
+
+def outcome(check, *args):
+    try:
+        rep = check(*args)
+    except Exception as exc:  # the error, compared by type and text
+        return type(exc), str(exc)
+    return (rep.residuals.tobytes(), rep.normalized_max, rep.passes, rep.branch_shifts,
+            rep.step, rep.threshold)
+
+
+# chunks of all branches (n = 2), three (n = 3 at 500 entries), 17 (n = 4),
+# six (n = 5) and one (n = 4 at 200).  Step 1e-13 underflows, and at 1e308 a
+# short branch's stencil stays finite and overflows F while a longer one's
+# overflows at once: the first error in branch order must win
+@pytest.mark.parametrize("n,entries", [(2, constraints.STACK_ENTRIES), (3, 500),
+                                       (4, constraints.STACK_ENTRIES), (4, 200),
+                                       (5, constraints.STACK_ENTRIES)])
+def test_gate_geodesic_check_matches_the_per_branch_loop(monkeypatch, n, entries):
+    monkeypatch.setattr(constraints, "STACK_ENTRIES", entries)
+    rng = np.random.default_rng(80 + n)
+    phases = np.exp(1j * rng.uniform(-1.0, 1.0, n))
+    gates = [haar_su(n, rng), np.diag(phases / np.prod(phases) ** (1.0 / n))]  # mt(e_0) = 0 on the diagonal
+    for sweep in (1, 2) if n < 4 else (1,):
+        for func in catalog(n) + [SpectrumNorm()]:
+            for gate in gates:
+                for step in (FD_STEP, 1e-13, 1e308):
+                    got = outcome(gate_geodesic_check, func, gate, step, GEODESIC_THRESHOLD, sweep)
+                    assert got == outcome(branch_loop, func, gate, sweep, step), (func, sweep, step)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
