@@ -28,15 +28,20 @@ GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
                          exponent halves it back.
 
 Every constraint is a ``Constraint``: the base holds the defaults (no
-``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
-``kink_margin`` inf) and each class overrides where it differs.  ``KINDS``
-maps each ``kind`` to its class, whose dataclass fields are its ``jsonio``
-format.
+``children``, ``dim`` None for any N, ``unitarily_invariant`` and
+``spectral`` False, ``kink_margin`` inf) and each class overrides where it
+differs.  ``KINDS`` maps each ``kind`` to its class, whose dataclass fields
+are its ``jsonio`` format.
 
 Each catalog class states F once, in ``values(stack)``: F at each matrix of
 an (m, n, n) stack of points that share nothing, with one stacked LAPACK call
-for the stack.  A stack of m gives the bits of m stacks of one, and the
-base's ``value(a)`` is ``values`` on a stack of one.  A custom constraint may
+for the stack.  The spectral classes state it as ``from_spectrum(w)``
+instead, a function of the ascending spectrum w of H = 1j*A (a spectral
+function, Lewis, below): Schatten, the spectral range, and every combinator
+whose children are all spectral, so a tree of them takes one ``eigvalsh``
+call per stack and joins its children's values read off that one spectrum.
+A stack of m gives the bits of m stacks of one, and the base's ``value(a)``
+is ``values`` on a stack of one.  A custom constraint may
 define ``value`` alone instead; the base's ``values`` then calls it on each
 point.  Where F takes a power of a scalar, ``values`` takes it point by point
 in scalar arithmetic, since numpy's array power rounds differently.  A power
@@ -74,9 +79,10 @@ STATE_ATOL = 1e-12
 
 # Most matrix entries (128 KB of complex128) a sampled check puts in one
 # stacked ``values`` call, so its memory stays bounded whatever its sample
-# count.  The geodesic check fills a call with the stencils of whole
-# logarithm branches, 2(n**2 - 1) points each (17 branches at n = 4); from
-# n = 9 one branch exceeds the bound and takes a call of its own.
+# count.  The geodesic check fills a call with whole logarithm branches: X
+# and its 2(n**2 - 1) stencil points, 2(n**2 - 1) + 1 points each (16
+# branches at n = 4); from n = 9 one branch exceeds the bound and takes a
+# call of its own.
 STACK_ENTRIES = 8192
 
 
@@ -167,13 +173,17 @@ class Constraint:
     ``gatetime.conj_min_time`` reads both.
 
     A subclass defines F through ``values`` or, for a custom constraint,
-    through ``value`` alone; each defaults to the other.
+    through ``value`` alone; each defaults to the other.  A ``spectral``
+    class, a function of the spectrum alone, defines ``from_spectrum(w)``
+    instead: F at each row of an (m, n) array w of ascending spectra of
+    H = 1j*A, which the base's ``values`` reads off one ``eigvalsh`` call.
     """
 
     kind: str
     children = ()
     dim = None
     unitarily_invariant = False
+    spectral = False
 
     def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
@@ -196,9 +206,12 @@ class Constraint:
     def values(self, stack: np.ndarray) -> np.ndarray:
         """F at each matrix of an (m, n, n) stack.
 
-        Every catalog class defines this; the default, for a constraint that
-        defines ``value`` alone, calls ``value`` on each point.
+        A spectral class reads it off the stack's spectra, every other catalog
+        class defines it, and for a constraint that defines ``value`` alone
+        this default calls ``value`` on each point.
         """
+        if self.spectral:
+            return self.from_spectrum(_hermitian_eigs(stack))
         return np.array([self.value(a) for a in stack], dtype=float)
 
     def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -233,13 +246,14 @@ class Schatten(Constraint):
     p: float
     kind = "schatten"
     unitarily_invariant = True
+    spectral = True
 
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise InvalidParameterError(f"Schatten exponent must be >= 1, got {self.p}")
 
-    def values(self, stack) -> np.ndarray:
-        sv = np.abs(_hermitian_eigs(stack))
+    def from_spectrum(self, w) -> np.ndarray:
+        sv = np.abs(w)
         if isinf(self.p):
             return np.max(sv, axis=1)
         with np.errstate(over="ignore"):
@@ -276,9 +290,9 @@ class SpectralRange(Constraint):
 
     kind = "op_shifted"
     unitarily_invariant = True
+    spectral = True
 
-    def values(self, stack) -> np.ndarray:
-        w = _hermitian_eigs(stack)
+    def from_spectrum(self, w) -> np.ndarray:
         return w[:, -1] - w[:, 0]
 
     def spectral_values(self, phi, q) -> np.ndarray:
@@ -465,7 +479,8 @@ class Randers(Constraint):
 # ---------------------------------------------------------------------------
 
 class _Combinator(Constraint):
-    """Two children joined pointwise by the subclass's ``combine(F1, F2)``."""
+    """Two children joined pointwise by the subclass's ``combine(F1, F2)``;
+    ``join`` is the combine ``values`` takes, which a mean checks."""
 
     def __post_init__(self):
         children = tuple(self.children)
@@ -486,6 +501,10 @@ class _Combinator(Constraint):
         # is minimal for both children is minimal for the combination
         return all(c.unitarily_invariant for c in self.children)
 
+    @property
+    def spectral(self) -> bool:
+        return all(c.spectral for c in self.children)
+
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         # nondecreasing combines again: a V that minimizes every child that
         # varies on the orbit minimizes the tree
@@ -505,7 +524,15 @@ class _Combinator(Constraint):
         return s1 * found[0] + s2 * found[1]
 
     def values(self, stack) -> np.ndarray:
-        return self.combine(*(c.values(stack) for c in self.children))
+        if self.spectral:  # one spectrum for the whole tree
+            return super().values(stack)
+        return self.join(*(c.values(stack) for c in self.children))
+
+    def from_spectrum(self, w) -> np.ndarray:
+        return self.join(*(c.from_spectrum(w) for c in self.children))
+
+    def join(self, v1, v2) -> np.ndarray:
+        return self.combine(v1, v2)
 
     def spectral_values(self, phi, q) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores lose
@@ -541,9 +568,8 @@ class _Mean(_Combinator):
         _require_exponent(self.p, self.kind)
         super().__post_init__()
 
-    def values(self, stack) -> np.ndarray:
+    def join(self, v1, v2) -> np.ndarray:
         # combine on Python floats: scalar powers, as _scalar_powers takes them
-        v1, v2 = (c.values(stack) for c in self.children)
         try:
             out = np.array([self.combine(x, y) for x, y in zip(v1.tolist(), v2.tolist())],
                            dtype=float)

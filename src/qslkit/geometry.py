@@ -33,6 +33,8 @@ from .linalg import (
     _as_rng,
     _eigen_clusters,
     _haar_from_normals,
+    _require_algebra,
+    as_square_matrix,
     from_coords,
     is_identity,
     random_algebra_element,
@@ -155,18 +157,14 @@ def _require_step(step: float) -> None:
         raise InvalidParameterError(f"step must be positive, got {step}")
 
 
-def _stencil(base: np.ndarray, step: float, build) -> tuple[float, np.ndarray]:
-    """h = step * |base|_F and the stencil ``build(h)``, refusing a step that
-    is not positive or underflows, or a stencil that overflows."""
+def _require_stencil(step: float, h: float, stencil: np.ndarray) -> None:
+    """Refuse a step that is not positive, a step h = step * |base|_F that
+    underflows, or a stencil at h that overflows."""
     _require_step(step)
-    h = step * float(np.linalg.norm(base))
     if h < 1e-12:
         raise StepUnderflowError(f"finite-difference step underflow: h = {h:.3e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        stencil = build(h)
     if not np.isfinite(stencil).all():
         raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
-    return h, stencil
 
 
 def _squares(func, stencil: np.ndarray) -> np.ndarray:
@@ -196,9 +194,12 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, 
             "fundamental tensor is undefined where F vanishes (origin of a "
             f"positive-homogeneous function): F(base) = {f0:.3e}")
     # base +- step*u +- step*v at steps h and h/2
-    h, stencil = _stencil(base, probe.step, lambda h: np.stack([
-        corner for step in (h, h / 2.0) for side in (base + step * u, base - step * u)
-        for corner in (side + step * v, side - step * v)]))
+    h = probe.step * float(np.linalg.norm(base))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stencil = np.stack([corner for step in (h, h / 2.0)
+                            for side in (base + step * u, base - step * u)
+                            for corner in (side + step * v, side - step * v)])
+    _require_stencil(probe.step, h, stencil)
     fsq = _squares(func, stencil)
     steps = np.array([h, h / 2.0])
     upp, upm, ump, umm = fsq.reshape(2, 4).T
@@ -238,44 +239,73 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
 
     F**2 is homogeneous of degree 2, so by Euler's theorem g_X(X, D) is half
     the slope of F**2 at X along D: for D_i = [X, T_i] the residual is
-    (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h relative to |X|_F."""
-    return _geodesic_reports(func, [x], step, threshold)[0]
+    (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h relative to |X|_F.
+    F is evaluated at X and at the 2(n**2 - 1) stencil points in one call."""
+    x = as_square_matrix(x)
+    return _geodesic_reports(func, x[None], np.array([np.linalg.norm(x)]), step, threshold)[0]
 
 
-def _geodesic_reports(func, xs, step: float, threshold: float) -> list[GeodesicReport]:
-    """``geodesic_vector_check`` at each X of ``xs``: the reports, and the
-    first error, of a loop over xs.  The stencils of whole X share one
-    ``values`` call per chunk of at most STACK_ENTRIES entries, or of one X."""
-    reports, chunk = [], []
-
-    def flush():
-        pending = chunk.copy()
-        chunk.clear()
-        if pending:
-            fsq = _squares(func, np.concatenate([stencil for _, _, stencil in pending]))
-            for (fx, h, _), f in zip(pending, np.split(fsq, len(pending))):
-                residuals = np.subtract(*f.reshape(2, -1)) / (4.0 * h)
-                normalized_max = float(np.max(np.abs(residuals)) / fx ** 2)
-                reports.append(GeodesicReport(residuals=residuals, normalized_max=normalized_max,
-                                              passes=normalized_max < threshold,
-                                              threshold=threshold, step=step))
-
-    try:
-        for x in xs:
-            x = require_algebra_element(x)
-            con.require_dim(func, x.shape[0])
-            fx = func.value(x)
-            if not fx > 0.0:
-                raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
-            basis = su_basis(x.shape[0])
-            d = x @ basis - basis @ x
-            h, stencil = _stencil(x, step, lambda h: np.concatenate([x + h * d, x - h * d]))
-            if sum(s.size for *_, s in chunk) + stencil.size > con.STACK_ENTRIES:
-                flush()
-            chunk.append((fx, h, stencil))
-    finally:
-        flush()  # on an error at X too: the loop evaluated the X before it first
+def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
+                      threshold: float) -> list[GeodesicReport]:
+    """``geodesic_vector_check`` at each X of the (m, n, n) stack ``xs``, whose
+    Frobenius norms are ``norms``: the reports, and the first error, of a loop
+    over xs.  One broadcast matmul forms every tangent [X, T_i], and F(X) and
+    the stencil of whole X, 2(n**2 - 1) + 1 points each, share one ``values``
+    call per chunk of at most STACK_ENTRIES entries, or of one X."""
+    n = xs.shape[1]
+    basis = su_basis(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = step * norms
+        hd = hs[:, None, None, None] * (xs[:, None] @ basis - basis @ xs[:, None])
+        points = np.concatenate([xs[:, None], xs[:, None] + hd, xs[:, None] - hd], axis=1)
+    try:  # the common case: every X and every step passes, checked on the whole stack
+        _require_algebra(xs)
+        con.require_dim(func, n)
+        usable = step > 0.0 and hs.min() >= 1e-12 and np.isfinite(points).all()
+    except QslError:
+        usable = False
+    if not usable:  # some X is refused: the loop raises the first error
+        return _loop_reports(func, points, hs, step, threshold)
+    per_call = max(1, con.STACK_ENTRIES // points[0].size)
+    reports = []
+    for start in range(0, len(xs), per_call):
+        chunk, h = points[start:start + per_call], hs[start:start + per_call]
+        try:
+            f = func.values(chunk.reshape(-1, n, n)).reshape(len(chunk), -1)
+            fsq = con._scalar_powers(f[:, 1:].ravel(), 2).reshape(len(chunk), -1)
+            fine = (f[:, 0] > 0.0).all()
+        except Exception:  # the loop below raises the first error, in X order
+            fine = False
+        reports += (_reports(f[:, 0].tolist(), h, fsq, step, threshold) if fine
+                    else _loop_reports(func, chunk, h, step, threshold))
     return reports
+
+
+def _loop_reports(func, points, hs, step, threshold) -> list[GeodesicReport]:
+    """The loop over X that ``_geodesic_reports`` batches, for the rows
+    [X, stencil] of ``points``: its reports, or its first error.  At each X it
+    checks X, then F(X) > 0, then the step, then evaluates the stencil."""
+    reports = []
+    for p, h in zip(points, hs):
+        x = require_algebra_element(p[0])
+        con.require_dim(func, len(x))
+        fx = func.value(x)
+        if not fx > 0.0:
+            raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
+        _require_stencil(step, h, p[1:])
+        reports += _reports([fx], h[None], _squares(func, p[1:])[None], step, threshold)
+    return reports
+
+
+def _reports(fx: list, h: np.ndarray, fsq: np.ndarray, step: float,
+             threshold: float) -> list[GeodesicReport]:
+    """The reports at some X from F(X), h and, in rows, F**2 at each X + h D_i
+    and then at each X - h D_i."""
+    residuals = np.subtract(*np.split(fsq, 2, axis=1)) / (4.0 * h[:, None])
+    peaks = np.max(np.abs(residuals), axis=1) / [v ** 2 for v in fx]
+    return [GeodesicReport(residuals=r.copy(), normalized_max=v, passes=v < threshold,
+                           threshold=threshold, step=step)  # a row of its own, not of the chunk
+            for r, v in zip(residuals, peaks.tolist())]
 
 
 def gate_geodesic_check(func, gate, step: float = FD_STEP,
@@ -297,9 +327,10 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
         raise InvalidParameterError(f"branch_sweep must be >= 0, got {branch_sweep}")
     shifts, _ = clusters.search_shifts(branch_sweep)
     branches = clusters.sorted_branches(shifts)
-    reports = [replace(rep, branch_shifts=tuple(branch.shifts.tolist())) for rep, branch in
-               zip(_geodesic_reports(func, [b.value for b in branches], step, threshold), branches)]
-    return min(reports, key=lambda rep: rep.normalized_max)
+    reports = _geodesic_reports(func, np.stack([b.value for b in branches]),
+                                np.array([b.frobenius() for b in branches]), step, threshold)
+    best = min(range(len(reports)), key=lambda i: reports[i].normalized_max)
+    return replace(reports[best], branch_shifts=tuple(branches[best].shifts.tolist()))
 
 
 # ---------------------------------------------------------------------------

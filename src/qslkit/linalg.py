@@ -192,6 +192,10 @@ class LogBranch:
         return self.angles + TWO_PI * self.shifts
 
     def frobenius(self) -> float:
+        return self._frobenius
+
+    @functools.cached_property  # the branch sort and the geodesic step both read it
+    def _frobenius(self) -> float:
         return float(np.linalg.norm(self.value))
 
 

@@ -6,6 +6,7 @@ stacked forms must reproduce it bit for bit: reports, residuals, action
 values and the state a seeding Generator is left in.
 """
 
+import math
 import re
 from dataclasses import replace
 
@@ -14,8 +15,16 @@ import pytest
 
 from qslkit import (
     DimensionMismatchError,
+    GeometricMean,
+    GroundShiftedMoment,
+    InvalidParameterError,
     InvariantViolationError,
+    Max,
+    Min,
+    PowerMean,
     Schatten,
+    SpectralRange,
+    Sum,
     TensorProbe,
     Trajectory,
     action,
@@ -33,7 +42,7 @@ from qslkit import (
     sample_generic_probe,
     su_basis,
 )
-from qslkit import constraints, linalg
+from qslkit import constraints, gates, linalg
 from qslkit.geometry import FD_STEP, GEODESIC_THRESHOLD, NORM_SLACK
 
 from test_constraints import SpectrumNorm, catalog
@@ -207,7 +216,7 @@ def outcome(check, *args):
             rep.step, rep.threshold)
 
 
-# chunks of all branches (n = 2), three (n = 3 at 500 entries), 17 (n = 4),
+# chunks of all branches (n = 2), three (n = 3 at 500 entries), 16 (n = 4),
 # six (n = 5) and one (n = 4 at 200).  Step 1e-13 underflows, and at 1e308 a
 # short branch's stencil stays finite and overflows F while a longer one's
 # overflows at once: the first error in branch order must win
@@ -225,6 +234,128 @@ def test_gate_geodesic_check_matches_the_per_branch_loop(monkeypatch, n, entries
                 for step in (FD_STEP, 1e-13, 1e308):
                     got = outcome(gate_geodesic_check, func, gate, step, GEODESIC_THRESHOLD, sweep)
                     assert got == outcome(branch_loop, func, gate, sweep, step), (func, sweep, step)
+
+
+class CountedValues(constraints.Constraint):
+    """Wraps a constraint, recording the size of each ``values`` call."""
+
+    def __init__(self, inner):
+        self.inner, self.sizes = inner, []
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def values(self, stack):
+        self.sizes.append(len(stack))
+        return self.inner.values(stack)
+
+
+@pytest.mark.parametrize("func", catalog(4) + [SpectrumNorm()], ids=lambda f: type(f).__name__)
+def test_gate_geodesic_check_makes_one_values_call_per_chunk(func):
+    # F(X) rides in its branch's chunk: 2 * 15 + 1 points per branch at n = 4,
+    # 16 branches per call; no call of its own
+    gate = haar_su(4, 44)
+    branches = len(linalg._eigen_clusters(gate).search_shifts(1)[0])
+    assert branches > 16
+    counted = CountedValues(func)
+    args = (gate, FD_STEP, GEODESIC_THRESHOLD, 1)
+    assert outcome(gate_geodesic_check, counted, *args) == outcome(gate_geodesic_check, func, *args)
+    assert counted.sizes == [31 * min(16, branches - s) for s in range(0, branches, 16)]
+    counted.sizes.clear()
+    geodesic_vector_check(counted, principal_log(gate).value)
+    assert counted.sizes == [31]
+
+
+def per_child(func, stack):
+    """``values`` with every combinator joining its children's own ``values``."""
+    if not func.children:
+        return func.values(stack)
+    return func.join(*(per_child(c, stack) for c in func.children))
+
+
+def spectral_trees():
+    """A tree per combinator over spectral atoms only, and a nested one."""
+    s2, sinf, rng = Schatten(p=2), Schatten(p=math.inf), SpectralRange()
+    return [Sum(children=(s2, rng)), Max(children=(s2, rng)), Min(children=(Schatten(p=3), rng)),
+            PowerMean(p=3, children=(s2, sinf)), GeometricMean(p=2, children=(s2, rng)),
+            Sum(children=(Max(children=(Schatten(p=1), rng)),
+                          PowerMean(p=3, children=(sinf, Min(children=(s2, rng))))))]
+
+
+def element_stack(n, m, seed):
+    return np.stack([random_algebra_element(n, seed + i) for i in range(m)])
+
+
+def counted_eigvalsh(monkeypatch):
+    """The shapes np.linalg.eigvalsh is called on from now on."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("tree", spectral_trees(), ids=lambda f: f.kind)
+def test_a_spectral_tree_takes_one_spectrum_per_stack(monkeypatch, tree):
+    stack = element_stack(4, 6, 30)
+    shapes = counted_eigvalsh(monkeypatch)
+    got = tree.values(stack)
+    tree.value(stack[0])
+    assert shapes == [(6, 4, 4), (1, 4, 4)]
+    assert tree.spectral
+    assert np.array_equal(got, per_child(tree, stack))
+
+
+# a state-anchored or value-only child keeps the per-child path: one spectrum
+# per spectral subtree, one per point for the custom child
+@pytest.mark.parametrize("tree,calls", [
+    (Max(children=(Schatten(p=2), GroundShiftedMoment(p=1, psi=basis_state(4)))), 1),
+    (Max(children=(Sum(children=(Schatten(p=2), SpectralRange())),
+                   constraints.EnergyUncertainty(psi=basis_state(4)))), 1),
+    (Sum(children=(Schatten(p=2), SpectrumNorm())), 1 + 6),
+], ids=["ml-child", "spectral-subtree", "custom-child"])
+def test_a_tree_with_another_child_evaluates_each_child(monkeypatch, tree, calls):
+    stack = element_stack(4, 6, 30)
+    shapes = counted_eigvalsh(monkeypatch)
+    got = tree.values(stack)
+    assert len(shapes) == calls
+    assert not tree.spectral
+    assert np.array_equal(got, per_child(tree, stack))
+
+
+def values_outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except InvalidParameterError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_spectrum_gives_the_per_child_bits(n):
+    # scales from 1e-3 to 1e3, the zero matrix and a basis element, whose
+    # spectrum has a zero eigenvalue from n = 3
+    stack = np.concatenate([element_stack(n, 8, 10 * n) * np.geomspace(1e-3, 1e3, 8)[:, None, None],
+                            np.zeros((1, n, n)), linalg.from_coords(np.eye(1, n * n - 1), n)])
+    for func in catalog(n) + spectral_trees():
+        assert values_outcome(func.values, stack) == values_outcome(per_child, func, stack), func
+
+
+@pytest.mark.parametrize("func,message", [
+    (Schatten(p=2000), "schatten exponent p = 2000 overflows a float"),
+    (PowerMean(p=2000, children=(Schatten(p=2), Schatten(p=math.inf))),
+     "powmean exponent p = 2000 overflows a float"),
+    (GeometricMean(p=1e-300, children=(Schatten(p=2), SpectralRange())),
+     "geomean exponent p = 1e-300 loses sqrt(F1 * F2) to float rounding"),
+], ids=["schatten", "powmean", "geomean"])
+def test_one_spectrum_keeps_the_overflow_and_loss_texts(func, message):
+    x = principal_log(gates.parse_gate_spec("qft:3")).value
+    for stack in (x[None], np.stack([0.5 * x, x])):
+        assert values_outcome(func.values, stack) == (InvalidParameterError, message)
+        assert values_outcome(per_child, func, stack) == (InvalidParameterError, message)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
