@@ -216,7 +216,7 @@ def _cmd_time(args):
 def _cmd_branches(args):
     rows = [{"branch": i,
              "shifts": [int(s) for s in b.shifts],
-             "frobenius": b.frobenius(),
+             "frobenius": b.frobenius,
              "shifted_angles": [float(x) for x in b.shifted_angles]}
             for i, b in enumerate(log_branches(args.gate, args.n_max,
                                                atol=args.tol["unitary"]))]

@@ -45,6 +45,7 @@ from .linalg import (
 INVARIANCE_THRESHOLD = 1e-8
 GEODESIC_THRESHOLD = 1e-6
 FD_STEP = 1e-4
+MIN_FD_STEP = 1e-12  # smallest absolute step h a stencil may take
 NORM_SLACK = 1e-9
 GENERIC_MARGIN = 1e-3
 PROBE_TRIES = 500
@@ -161,7 +162,7 @@ def _require_stencil(step: float, h: float, stencil: np.ndarray) -> None:
     """Refuse a step that is not positive, a step h = step * |base|_F that
     underflows, or a stencil at h that overflows."""
     _require_step(step)
-    if h < 1e-12:
+    if h < MIN_FD_STEP:
         raise StepUnderflowError(f"finite-difference step underflow: h = {h:.3e}")
     if not np.isfinite(stencil).all():
         raise InvalidParameterError(f"finite-difference step overflow: h = {h:.3e}")
@@ -249,51 +250,55 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
                       threshold: float) -> list[GeodesicReport]:
     """``geodesic_vector_check`` at each X of the (m, n, n) stack ``xs``, whose
     Frobenius norms are ``norms``: the reports, and the first error, of a loop
-    over xs.  One broadcast matmul forms every tangent [X, T_i], and F(X) and
-    the stencil of whole X, 2(n**2 - 1) + 1 points each, share one ``values``
-    call per chunk of at most STACK_ENTRIES entries, or of one X."""
+    over xs.  Whole X, 2(n**2 - 1) + 1 points each (X and its stencil), share
+    one ``values`` call per chunk of at most STACK_ENTRIES entries, or of one
+    X; one broadcast matmul forms the chunk's tangents [X, T_i].  A chunk
+    that fails a check runs the loop, which raises the first error."""
     n = xs.shape[1]
-    basis = su_basis(n)
     with np.errstate(over="ignore", invalid="ignore"):
         hs = step * norms
-        hd = hs[:, None, None, None] * (xs[:, None] @ basis - basis @ xs[:, None])
-        points = np.concatenate([xs[:, None], xs[:, None] + hd, xs[:, None] - hd], axis=1)
-    try:  # the common case: every X and every step passes, checked on the whole stack
+    try:  # the checks that hold for the whole stack at once
         _require_algebra(xs)
         con.require_dim(func, n)
-        usable = step > 0.0 and hs.min() >= 1e-12 and np.isfinite(points).all()
+        basis = su_basis(n)
     except QslError:
-        usable = False
-    if not usable:  # some X is refused: the loop raises the first error
-        return _loop_reports(func, points, hs, step, threshold)
-    per_call = max(1, con.STACK_ENTRIES // points[0].size)
+        return _loop_reports(func, xs, hs, step, threshold)
+    per_call = max(1, con.STACK_ENTRIES // ((2 * len(basis) + 1) * n * n))
     reports = []
     for start in range(0, len(xs), per_call):
-        chunk, h = points[start:start + per_call], hs[start:start + per_call]
+        x, h = xs[start:start + per_call], hs[start:start + per_call]
         try:
-            f = func.values(chunk.reshape(-1, n, n)).reshape(len(chunk), -1)
-            fsq = con._scalar_powers(f[:, 1:].ravel(), 2).reshape(len(chunk), -1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hd = h[:, None, None, None] * (x[:, None] @ basis - basis @ x[:, None])
+                points = np.concatenate([x[:, None], x[:, None] + hd, x[:, None] - hd], axis=1)
+            _require_stencil(step, float(h.min()), points)
+            f = func.values(points.reshape(-1, n, n)).reshape(len(x), -1)
+            fsq = con._scalar_powers(f[:, 1:].ravel(), 2).reshape(len(x), -1)
             fine = (f[:, 0] > 0.0).all()
         except Exception:  # the loop below raises the first error, in X order
             fine = False
         reports += (_reports(f[:, 0].tolist(), h, fsq, step, threshold) if fine
-                    else _loop_reports(func, chunk, h, step, threshold))
+                    else _loop_reports(func, x, h, step, threshold))
     return reports
 
 
-def _loop_reports(func, points, hs, step, threshold) -> list[GeodesicReport]:
-    """The loop over X that ``_geodesic_reports`` batches, for the rows
-    [X, stencil] of ``points``: its reports, or its first error.  At each X it
-    checks X, then F(X) > 0, then the step, then evaluates the stencil."""
+def _loop_reports(func, xs, hs, step, threshold) -> list[GeodesicReport]:
+    """The loop over X that ``_geodesic_reports`` batches: its reports, or
+    its first error.  At each X it checks X, then F(X) > 0, then builds the
+    stencil at h, checks the step and evaluates the stencil."""
     reports = []
-    for p, h in zip(points, hs):
-        x = require_algebra_element(p[0])
+    for x, h in zip(xs, hs):
+        x = require_algebra_element(x)
         con.require_dim(func, len(x))
         fx = func.value(x)
         if not fx > 0.0:
             raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
-        _require_stencil(step, h, p[1:])
-        reports += _reports([fx], h[None], _squares(func, p[1:])[None], step, threshold)
+        basis = su_basis(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = x @ basis - basis @ x
+            stencil = np.concatenate([x + h * d, x - h * d])
+        _require_stencil(step, h, stencil)
+        reports += _reports([fx], np.array([h]), _squares(func, stencil)[None], step, threshold)
     return reports
 
 
@@ -328,7 +333,7 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     shifts, _ = clusters.search_shifts(branch_sweep)
     branches = clusters.sorted_branches(shifts)
     reports = _geodesic_reports(func, np.stack([b.value for b in branches]),
-                                np.array([b.frobenius() for b in branches]), step, threshold)
+                                np.array([b.frobenius for b in branches]), step, threshold)
     best = min(range(len(reports)), key=lambda i: reports[i].normalized_max)
     return replace(reports[best], branch_shifts=tuple(branches[best].shifts.tolist()))
 

@@ -191,11 +191,8 @@ class LogBranch:
     def shifted_angles(self) -> np.ndarray:
         return self.angles + TWO_PI * self.shifts
 
-    def frobenius(self) -> float:
-        return self._frobenius
-
     @functools.cached_property  # the branch sort and the geodesic step both read it
-    def _frobenius(self) -> float:
+    def frobenius(self) -> float:
         return float(np.linalg.norm(self.value))
 
 
@@ -302,7 +299,7 @@ class _EigenClusters:
     def sorted_branches(self, rows) -> list[LogBranch]:
         """Assemble shift rows, ordered by Frobenius norm, then by shifts."""
         branches = [self.assemble(s) for s in rows]
-        branches.sort(key=lambda b: (b.frobenius(), tuple(b.shifts.tolist())))
+        branches.sort(key=lambda b: (b.frobenius, tuple(b.shifts.tolist())))
         return branches
 
 

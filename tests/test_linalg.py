@@ -226,7 +226,7 @@ def test_branches_diag_nmax1():
     branches = log_branches(np.diag([1j, -1j]), 1)
     shifts = [tuple(b.shifts.tolist()) for b in branches]
     assert shifts == [(0, 0), (1, -1), (-1, 1)]  # sorted by Frobenius norm
-    norms = [b.frobenius() for b in branches]
+    norms = [b.frobenius for b in branches]
     assert norms == sorted(norms)
 
 

@@ -8,6 +8,7 @@ values and the state a seeding Generator is left in.
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from qslkit import (
     PowerMean,
     Schatten,
     SpectralRange,
+    StepUnderflowError,
     Sum,
     TensorProbe,
     Trajectory,
@@ -117,7 +119,7 @@ def geodesic_loop(func, gate, sweep):
     if not any(np.array_equal(b.shifts, principal.shifts) for b in branches):
         branches.append(principal)
     best = None
-    for b in sorted(branches, key=lambda b: (b.frobenius(), tuple(b.shifts.tolist()))):
+    for b in sorted(branches, key=lambda b: (b.frobenius, tuple(b.shifts.tolist()))):
         x = b.value
         h = FD_STEP * float(np.linalg.norm(x))
         d = [commutator(x, t) for t in su_basis(len(x))]
@@ -265,6 +267,51 @@ def test_gate_geodesic_check_makes_one_values_call_per_chunk(func):
     counted.sizes.clear()
     geodesic_vector_check(counted, principal_log(gate).value)
     assert counted.sizes == [31]
+
+
+# the loop's checks in its order: X, F(X) > 0, then the step; a 1 x 1 X
+# fails before any su(1) basis is asked for
+X2 = np.diag([1j, -1j])
+
+
+@pytest.mark.parametrize("func,x,step,error", [
+    (Schatten(p=2), [[1j]], FD_STEP,
+     (InvariantViolationError, "matrix is not traceless: tr = 0.000e+00+1.000e+00j")),
+    (Schatten(p=2), [[0]], FD_STEP,
+     (InvalidParameterError, "geodesic check needs F(X) > 0, got 0.000e+00")),
+    (Schatten(p=2), np.zeros((2, 2)), 1e-13,
+     (InvalidParameterError, "geodesic check needs F(X) > 0, got 0.000e+00")),
+    (Schatten(p=2), [[1, 0], [0, -1]], FD_STEP,
+     (InvariantViolationError, "matrix is not anti-Hermitian: max|A + A†| = 2.000e+00")),
+    (Schatten(p=2), np.ones((2, 3)), FD_STEP,
+     (DimensionMismatchError, "expected a square matrix, got shape (2, 3)")),
+    (GroundShiftedMoment(p=1, psi=basis_state(3)), X2, FD_STEP,
+     (DimensionMismatchError, "constraint expects dimension 3, got dimension 2")),
+    (Schatten(p=2), X2, 0.0, (InvalidParameterError, "step must be positive, got 0.0")),
+    (Schatten(p=2), X2, 1e-13,
+     (StepUnderflowError, "finite-difference step underflow: h = 1.414e-13")),
+    (Schatten(p=2), X2, 1e308,
+     (InvalidParameterError, "finite-difference step overflow: h = 1.414e+308")),
+], ids=["1x1-trace", "1x1-zero", "zero-before-step", "hermitian", "not-square",
+        "dim", "step-0", "underflow", "overflow"])
+def test_geodesic_vector_check_refuses_invalid_input(func, x, step, error):
+    assert outcome(geodesic_vector_check, func, x, step) == error
+
+
+def test_gate_geodesic_check_memory_stays_within_its_chunks():
+    # 489 branches at n = 4, sweep 4: their stencils together take 3.9 MB,
+    # one chunk 128 KB; the branches and reports themselves take about 1 MB
+    gate = haar_su(4, 44)
+    branches = len(linalg._eigen_clusters(gate).search_shifts(4)[0])
+    stencils = branches * 31 * 16 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        gate_geodesic_check(Schatten(p=2), gate, branch_sweep=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert branches == 489
+    assert peak < stencils / 2
 
 
 def per_child(func, stack):
