@@ -28,18 +28,19 @@ GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
                          exponent halves it back.
 
 Every constraint is a ``Constraint``: the base holds the defaults (no
-``children``, ``dim`` None for any N, ``unitarily_invariant`` and
-``spectral`` False, ``kink_margin`` inf) and each class overrides where it
-differs.  ``KINDS`` maps each ``kind`` to its class, whose dataclass fields
-are its ``jsonio`` format.
+``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
+``kink_margin`` inf) and each class overrides where it differs.  ``KINDS``
+maps each ``kind`` to its class, whose dataclass fields are its ``jsonio``
+format.
 
 Each catalog class states F once, in ``values(stack)``: F at each matrix of
 an (m, n, n) stack of points that share nothing, with one stacked LAPACK call
-for the stack.  The spectral classes state it as ``from_spectrum(w)``
-instead, a function of the ascending spectrum w of H = 1j*A (a spectral
-function, Lewis, below): Schatten, the spectral range, and every combinator
-whose children are all spectral, so a tree of them takes one ``eigvalsh``
-call per stack and joins its children's values read off that one spectrum.
+for the stack.  A unitarily invariant F is a function of the spectrum alone
+(a spectral function, Lewis, below), so the invariant classes state it as
+``from_spectrum(w)`` instead, over the ascending spectrum w of H = 1j*A:
+Schatten, the spectral range, and every combinator whose children are all
+invariant, so a tree of them takes one ``eigvalsh`` call per stack and joins
+its children's values read off that one spectrum.
 A stack of m gives the bits of m stacks of one, and the base's ``value(a)``
 is ``values`` on a stack of one.  A custom constraint may
 define ``value`` alone instead; the base's ``values`` then calls it on each
@@ -123,8 +124,9 @@ def _scalar_powers(x: np.ndarray, e: float) -> np.ndarray:
 
 
 def _require_representable(y: np.ndarray, x: np.ndarray, what: str) -> None:
-    """Raise InvalidParameterError naming ``what`` unless each y, a power of
-    the entries of x in its row, is finite, and nonzero where x is nonzero."""
+    """Raise InvalidParameterError naming ``what`` unless each y, a power or
+    a quadratic form of the entries of x in its row, is finite, and nonzero
+    where x is nonzero."""
     if 0.0 < y.min(initial=inf) and y.max(initial=0.0) < inf:  # the common case
         return
     if not np.isfinite(y).all():
@@ -173,17 +175,17 @@ class Constraint:
     ``gatetime.conj_min_time`` reads both.
 
     A subclass defines F through ``values`` or, for a custom constraint,
-    through ``value`` alone; each defaults to the other.  A ``spectral``
-    class, a function of the spectrum alone, defines ``from_spectrum(w)``
-    instead: F at each row of an (m, n) array w of ascending spectra of
-    H = 1j*A, which the base's ``values`` reads off one ``eigvalsh`` call.
+    through ``value`` alone; each defaults to the other.  A
+    ``unitarily_invariant`` class, a function of the spectrum alone, defines
+    ``from_spectrum(w)`` instead: F at each row of an (m, n) array w of
+    ascending spectra of H = 1j*A, which the base's ``values`` reads off one
+    ``eigvalsh`` call.
     """
 
     kind: str
     children = ()
     dim = None
     unitarily_invariant = False
-    spectral = False
 
     def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
@@ -206,18 +208,19 @@ class Constraint:
     def values(self, stack: np.ndarray) -> np.ndarray:
         """F at each matrix of an (m, n, n) stack.
 
-        A spectral class reads it off the stack's spectra, every other catalog
-        class defines it, and for a constraint that defines ``value`` alone
-        this default calls ``value`` on each point.
+        An invariant class reads it off the stack's spectra, every other
+        catalog class defines it, and for a constraint that defines ``value``
+        alone this default calls ``value`` on each point.
         """
-        if self.spectral:
+        if self.unitarily_invariant:
             return self.from_spectrum(_hermitian_eigs(stack))
         return np.array([self.value(a) for a in stack], dtype=float)
 
     def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F at every X_b = q diag(1j*phi_b) q†, one row phi_b of ``phi`` each.
 
-        This default assembles all points and makes one ``values`` call.
+        This default assembles all points and makes one ``values`` call.  A
+        row whose F overflows a float may score inf or NaN.
         """
         return self.values((q * (1j * phi[:, None, :])) @ q.conj().T)
 
@@ -246,7 +249,6 @@ class Schatten(Constraint):
     p: float
     kind = "schatten"
     unitarily_invariant = True
-    spectral = True
 
     def __post_init__(self):
         if not (self.p >= 1.0):
@@ -265,9 +267,7 @@ class Schatten(Constraint):
         sv = np.abs(phi)
         if isinf(self.p):
             return np.max(sv, axis=1)
-        # an overflowing score loses; one that underflows to 0 wins and ``values`` refuses it
-        with np.errstate(over="ignore"):
-            return np.sum(sv ** self.p, axis=1) ** (1.0 / self.p)
+        return np.sum(sv ** self.p, axis=1) ** (1.0 / self.p)
 
     def kink_margin(self, a, w) -> float:
         if isinf(self.p):
@@ -290,7 +290,6 @@ class SpectralRange(Constraint):
 
     kind = "op_shifted"
     unitarily_invariant = True
-    spectral = True
 
     def from_spectrum(self, w) -> np.ndarray:
         return w[:, -1] - w[:, 0]
@@ -350,9 +349,8 @@ class GroundShiftedMoment(_StateAnchored):
 
     def spectral_values(self, phi, q) -> np.ndarray:
         w = -phi
-        with np.errstate(over="ignore", invalid="ignore"):
-            moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
-            return np.maximum(moment, 0.0) ** (1.0 / self.p)
+        moment = (w - np.min(w, axis=1, keepdims=True)) ** self.p @ _state_weights(self.psi, q)
+        return np.maximum(moment, 0.0) ** (1.0 / self.p)
 
     kink_margin = SpectralRange.kink_margin  # the ground eigenvector jumps at collisions
 
@@ -371,7 +369,10 @@ class EnergyUncertainty(_StateAnchored):
         mean = _dots(self.psi.conj(), hpsi).real
         # |(H - mean) psi|**2: <H psi|H psi> - mean**2 cancels to noise near 0
         dev = hpsi - mean[:, None] * self.psi
-        return mean, np.sqrt(_dots(dev.conj(), dev).real)
+        with np.errstate(over="ignore", invalid="ignore"):
+            variance = _dots(dev.conj(), dev).real
+        _require_representable(variance, dev, "mt variance")
+        return mean, np.sqrt(variance)
 
     def values(self, stack) -> np.ndarray:
         return self.moments(stack)[1]
@@ -430,7 +431,9 @@ class Randers(Constraint):
 
     def values(self, stack) -> np.ndarray:
         coords = basis_coords(stack)
-        quad = (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+        _require_representable(quad, coords, "randers quadratic form")
         return np.sqrt(quad) + _dots(self.oneform, coords)
 
     def spectral_values(self, phi, q) -> np.ndarray:
@@ -501,10 +504,6 @@ class _Combinator(Constraint):
         # is minimal for both children is minimal for the combination
         return all(c.unitarily_invariant for c in self.children)
 
-    @property
-    def spectral(self) -> bool:
-        return all(c.spectral for c in self.children)
-
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         # nondecreasing combines again: a V that minimizes every child that
         # varies on the orbit minimizes the tree
@@ -524,7 +523,7 @@ class _Combinator(Constraint):
         return s1 * found[0] + s2 * found[1]
 
     def values(self, stack) -> np.ndarray:
-        if self.spectral:  # one spectrum for the whole tree
+        if self.unitarily_invariant:  # one spectrum for the whole tree
             return super().values(stack)
         return self.join(*(c.values(stack) for c in self.children))
 
@@ -535,8 +534,7 @@ class _Combinator(Constraint):
         return self.combine(v1, v2)
 
     def spectral_values(self, phi, q) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing scores lose
-            return self.combine(*(c.spectral_values(phi, q) for c in self.children))
+        return self.combine(*(c.spectral_values(phi, q) for c in self.children))
 
     def kink_margin(self, a, w) -> float:
         return min(c.kink_margin(a, w) for c in self.children)

@@ -27,13 +27,9 @@ class DegenerateBranchTieError(QslError):
     """The traceless correction of a principal logarithm would have to split
     a degenerate eigenvalue cluster, so no basis-independent choice exists.
 
-    ``candidates`` holds the equally valid branches, one per admissible
-    assignment, computed in the eigenbasis the solver returned.
+    The message names the cluster's multiplicity k and the number r of its
+    members the correction needs: "cluster of multiplicity k (need r)".
     """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = list(candidates)
 
 
 class InvalidParameterError(QslError):

@@ -13,6 +13,8 @@ one batched ``spectral_values`` call evaluates F on all rows phi_b at once.
 Only the rows within NEAR_TIE of that minimum are assembled and re-evaluated
 with ``values``, which gives the same winner, bit for bit, as evaluating every
 assembled branch.
+A far branch whose F overflows may score inf or NaN; ``gate_time`` owns what
+that means: inf loses, and NaN is confirmed with ``values`` like a near-tie.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     The near-ties of that score (within NEAR_TIE) are assembled, evaluated with
     ``values``, sorted as ``log_branches`` sorts them, and the first minimum
     wins, so the result is the one a full sweep over the same branches gives.
+    A score that overflows loses; one that is NaN, or underflows to 0, is
+    confirmed, and ``values`` refuses an F that a float cannot hold.
 
     For ``unitarily_invariant`` constraints (Schatten, the spectral range and
     their combinators) the principal branch is provably optimal; that is
@@ -117,10 +121,11 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     clusters = _eigen_clusters(gate, atol=atol)
     require_dim(func, len(clusters.angles))
     shifts, principal = clusters.search_shifts(n_max)
-    scores = func.spectral_values(clusters.angles + TWO_PI * shifts,
-                                  clusters.decomposition.eigenvectors)
+    # an overflowing score loses; a NaN one compares False below and is confirmed
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = func.spectral_values(clusters.angles + TWO_PI * shifts,
+                                      clusters.decomposition.eigenvectors)
     low = np.min(scores)
-    # NaN scores compare False, so they are confirmed too
     near = clusters.sorted_branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
     confirmed = func.values(np.stack([b.value for b in near]))
     best = int(np.argmin(confirmed))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -37,7 +36,6 @@ CLUSTER_ATOL = 1e-8
 # for k clusters: n = 8 at n_max = 3 (823,543 rows) runs and n = 10 at
 # n_max = 3 (40M rows, about 2.9 GB of indices) is refused.
 MAX_BRANCH_ROWS = 1_000_000
-MAX_TIE_CANDIDATES = 16  # most candidate branches a DegenerateBranchTieError carries
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +217,8 @@ class _EigenClusters:
 
         Cluster ids ascend with the angle, so the clusters nearest +pi are the
         highest ids: a winding m > 0 is taken from the top id down, m < 0 from
-        the bottom id up.  Raises DegenerateBranchTieError, carrying the
-        candidate branches, when the traceless correction would split a
-        degenerate cluster.
+        the bottom id up.  Raises DegenerateBranchTieError when the traceless
+        correction would split a degenerate cluster.
         """
         m = self.winding
         shifts = self.base_shifts.copy()
@@ -232,17 +229,10 @@ class _EigenClusters:
                 break
             idx = np.flatnonzero(self.cluster_of == cid)
             if len(idx) > remaining:
-                candidates = []
-                for chosen in islice(combinations(idx.tolist(), remaining), MAX_TIE_CANDIDATES):
-                    alt = shifts.copy()
-                    alt[list(chosen)] -= sign
-                    candidates.append(self.assemble(alt))
                 raise DegenerateBranchTieError(
                     "traceless correction would split a degenerate eigenvalue "
                     f"cluster of multiplicity {len(idx)} (need {remaining}); "
-                    "no basis-independent principal logarithm exists",
-                    candidates=candidates,
-                )
+                    "no basis-independent principal logarithm exists")
             shifts[idx] -= sign
             remaining -= len(idx)
         return shifts
@@ -345,7 +335,8 @@ def principal_log(u, atol: float = UNITARY_ATOL) -> LogBranch:
     m angles closest to +pi (added to those closest to -pi when m < 0).
     Repeated eigenvalues must share a winding number - if the correction
     would split a degenerate cluster, the choice is basis-dependent and
-    DegenerateBranchTieError is raised carrying every candidate branch.
+    DegenerateBranchTieError is raised, naming the cluster's multiplicity and
+    how many of its members the correction needs.
     """
     clusters = _eigen_clusters(u, atol)
     return clusters.assemble(clusters.principal_shifts())

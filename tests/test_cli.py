@@ -476,6 +476,10 @@ MAX_S2_RANGE = ('{"kind": "max", "children": [{"kind": "schatten", "params": {"p
                 '{"kind": "op_shifted"}]}')
 ML2_QUBIT = '{"kind": "ml", "params": {"p": 2, "psi": {"dim": 2, "re": [1, 0], "im": [0, 0]}}}'
 MT_HAAR4 = '{"kind": "mt", "params": {"psi": {"dim": 4, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}}}'
+# most of their 85 branch scores on haar4 at n_max = 2 overflow (63 and 81)
+SCHATTEN300 = '{"kind": "schatten", "params": {"p": 300}}'
+POWMEAN300 = ('{"kind": "powmean", "params": {"p": 300}, "children": '
+              '[{"kind": "schatten", "params": {"p": 2}}, {"kind": "op_shifted"}]}')
 STDOUT_PINS = [
     (("invariance", "--constraint", MAX_S2_RANGE, "--dim", "3"),
      "ec3e5f8ded8a96fd2233110838e34465c378aa542a30cc9729436e9d3e9946bc"),
@@ -487,11 +491,18 @@ STDOUT_PINS = [
      "97112471c60fe8203f6da2af2bc7137740b5213ddaecd747e5e1aa36c41d8877"),
     (("action", "--constraint", SCHATTEN2, "--trajectory", "traj.json"),
      "3be4753f8332c79b7e0e8d329bfa255d8dab8005de847503fab5f588f71c66bf"),
+    (("time", "--constraint", MT_HAAR4, "--gate", "file:haar4.json", "--n-max", "2"),
+     "093c60921d384a692ebfb9608a8ffa585edff3d234cdff57fca8122d537bc772"),
+    (("time", "--constraint", SCHATTEN300, "--gate", "file:haar4.json", "--n-max", "2"),
+     "5aca64fdcd57c12b132d97b354ea112a268b682d4f5fb6fd9fe023aee3f39e96"),
+    (("time", "--constraint", POWMEAN300, "--gate", "file:haar4.json", "--n-max", "2"),
+     "8dc88fb7ad461526c150d7818f61305f5027b2e689405053862a1a36dfe92bc8"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", STDOUT_PINS,
-                         ids=["invariance", "classify", "geodesic-0", "geodesic-1", "action"])
+                         ids=["invariance", "classify", "geodesic-0", "geodesic-1", "action",
+                              "time-mt", "time-schatten300", "time-powmean300"])
 def test_json_reports_keep_their_bytes(capsys, monkeypatch, tmp_path, argv, digest):
     monkeypatch.delenv("QSL_SEED", raising=False)
     monkeypatch.chdir(tmp_path)

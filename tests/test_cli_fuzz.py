@@ -235,6 +235,29 @@ def test_large_exponents_exit_4_naming_p(tmp_path, command, angles, spec, messag
     assert run(gate_argv(tmp_path, command, angles, spec)) == (4, "", f"error: {message}\n")
 
 
+RANDERS_Z = {"kind": "randers", "params": {"metric": metric(3), "oneform": {
+    "dim": 3, "re": [0, 0, 0.5], "im": [0, 0, 0]}}}
+MT_MIXED = {"kind": "mt", "params": {"psi": {"dim": 2, "re": [0.6, 0.8], "im": [0, 0]}}}
+
+
+# a quadratic form or variance out of float range, on H = scale * diag(1, -1):
+# Randers printed an action of inf at 1e160 and a negative one at 1e-170, mt
+# inf and 0
+@pytest.mark.parametrize("spec,scale,message", [
+    (RANDERS_Z, 1e160, f"randers quadratic form {OVER}"),
+    (RANDERS_Z, 1e-170, f"randers quadratic form {UNDER}"),
+    (MT_MIXED, 1e160, f"mt variance {OVER}"),
+    (MT_MIXED, 1e-170, f"mt variance {UNDER}"),
+], ids=["randers-1e160", "randers-1e-170", "mt-1e160", "mt-1e-170"])
+def test_forms_out_of_float_range_exit_4_naming_the_class(tmp_path, spec, scale, message):
+    h = np.diag([scale, -scale]).astype(complex)
+    (tmp_path / "traj.json").write_text(jsonio.dumps_canonical({"duration": 1.0, "samples": [
+        {"t": t, "matrix": jsonio.matrix_to_json(h)} for t in (0.0, 1.0)]}))
+    argv = ["action", "--constraint", json.dumps(spec), "--trajectory",
+            str(tmp_path / "traj.json"), "--output", "json"]
+    assert run(argv) == (4, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # flag values
 # ---------------------------------------------------------------------------

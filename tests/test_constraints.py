@@ -1,6 +1,7 @@
 """Resource functional catalog: values, homogeneity, and combinator algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -433,3 +434,21 @@ def test_check_homogeneity_matches_the_per_trial_loop(n, trials):
     for func in catalog(n) + [SpectrumNorm()]:
         rep = check_homogeneity(func, n, trials=trials, seed=3)
         assert rep.max_relative_deviation == homogeneity_loop(func, n, trials, 3), func
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_extreme_scales_give_a_value_or_a_typed_error(n):
+    # F on stacks scaled by 1e-300 to 1e300 is finite and non-negative, or
+    # InvalidParameterError, and raises no RuntimeWarning: Randers and mt
+    # overflowed their matmul from 1e160, and Randers went negative from 1e-170
+    rng = np.random.default_rng(n)
+    stack = np.stack([random_algebra_element(n, rng) for _ in range(4)])
+    for func in catalog(n):
+        for k in range(-300, 301, 10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    got = func.values(10.0 ** k * stack)
+                except InvalidParameterError:
+                    continue
+            assert np.isfinite(got).all() and (got >= 0.0).all(), (func.kind, k, got)

@@ -182,8 +182,8 @@ class ClaimsInvariance(Constraint):
     kind = "claims_invariance"
     unitarily_invariant = True
 
-    def value(self, a):
-        return 100.0 - Schatten(p=2).value(a)
+    def from_spectrum(self, w):
+        return 100.0 - Schatten(p=2).from_spectrum(w)
 
 
 def test_gate_time_self_check_covers_combinators():

@@ -192,14 +192,9 @@ def test_principal_log_exponentiates_back_to_the_gate(n, seed):
     assert np.max(np.abs(expm(principal_log(u).value) - u)) <= 1e-12
 
 
-def test_principal_log_degenerate_tie_reports_candidates():
-    with pytest.raises(DegenerateBranchTieError) as exc:
+def test_principal_log_degenerate_tie_names_the_split_cluster():
+    with pytest.raises(DegenerateBranchTieError, match=r"multiplicity 2 \(need 1\)"):
         principal_log(-np.eye(2, dtype=complex))
-    candidates = exc.value.candidates
-    assert len(candidates) == 2
-    for cand in candidates:
-        assert np.max(np.abs(expm(cand.value) + np.eye(2))) < 1e-9
-        assert abs(np.trace(cand.value)) < 1e-9
 
 
 def test_principal_log_traceless_correction_distinct_angles():
@@ -307,8 +302,7 @@ def principal_shifts_by_rank(clusters):
     """The principal rule with clusters ranked by their first member's
     effective angle, nearest +pi first for a winding m > 0 and nearest -pi
     first for m < 0: the shift row, or, where the correction would split a
-    cluster, (its multiplicity, the shifts it needs, its members, the sign of
-    the correction, the shifts so far)."""
+    cluster, (its multiplicity, the shifts it needs)."""
     m = clusters.winding
     shifts = clusters.base_shifts.copy()
     sign = 1 if m > 0 else -1
@@ -321,7 +315,7 @@ def principal_shifts_by_rank(clusters):
         if remaining == 0:
             break
         if len(idx) > remaining:
-            return len(idx), remaining, idx, sign, shifts
+            return len(idx), remaining
         shifts[idx] -= sign
         remaining -= len(idx)
     return shifts
@@ -371,16 +365,10 @@ def test_clusters_are_runs_of_the_sorted_spectrum(u):
     if isinstance(want, np.ndarray):
         assert np.array_equal(c.principal_shifts(), want)
         return
-    multiplicity, need, idx, sign, shifts = want
+    multiplicity, need = want
     with pytest.raises(DegenerateBranchTieError,
-                       match=f"multiplicity {multiplicity} \\(need {need}\\)") as exc:
+                       match=f"multiplicity {multiplicity} \\(need {need}\\)"):
         c.principal_shifts()
-    expected = []
-    for chosen in itertools.islice(itertools.combinations(idx.tolist(), need), 16):
-        alt = shifts.copy()
-        alt[list(chosen)] -= sign
-        expected.append(alt)
-    assert [b.shifts.tolist() for b in exc.value.candidates] == [e.tolist() for e in expected]
 
 
 def test_branch_lattice_above_the_cap_is_refused_before_allocating():

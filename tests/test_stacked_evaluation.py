@@ -353,7 +353,7 @@ def test_a_spectral_tree_takes_one_spectrum_per_stack(monkeypatch, tree):
     got = tree.values(stack)
     tree.value(stack[0])
     assert shapes == [(6, 4, 4), (1, 4, 4)]
-    assert tree.spectral
+    assert tree.unitarily_invariant
     assert np.array_equal(got, per_child(tree, stack))
 
 
@@ -370,7 +370,7 @@ def test_a_tree_with_another_child_evaluates_each_child(monkeypatch, tree, calls
     shapes = counted_eigvalsh(monkeypatch)
     got = tree.values(stack)
     assert len(shapes) == calls
-    assert not tree.spectral
+    assert not tree.unitarily_invariant
     assert np.array_equal(got, per_child(tree, stack))
 
 
