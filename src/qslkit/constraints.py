@@ -166,12 +166,12 @@ class Constraint:
     ``orbit_minimizer(x)`` is a special unitary V at which F(V X V†) is least
     over the adjoint orbit of X, or None when the class knows no closed form:
     the identity for an invariant F, which is constant on the orbit, and each
-    class's own minimizer otherwise.  ``orbit_covector(y)`` is the slope of F
-    along the orbit through Y: a matrix G with
-    d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for every W in
-    su(n), or None where F may kink on the orbit (max and min of a varying
-    child, the state-anchored atoms, custom constraints); it is zero for an
-    invariant F.
+    class's own minimizer otherwise.  ``orbit_covector(stack)`` is the slope
+    of F along the orbit through each Y of an (m, n, n) stack: one matrix G
+    per Y with d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for
+    every W in su(n), or None where F may kink on the orbit (max and min of a
+    varying child, the state-anchored atoms, custom constraints); it is zero
+    for an invariant F.  A row's G does not depend on the other rows.
     ``gatetime.conj_min_time`` reads both.
 
     A subclass defines F through ``values`` or, for a custom constraint,
@@ -190,8 +190,8 @@ class Constraint:
     def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
 
-    def orbit_covector(self, y: np.ndarray) -> Optional[np.ndarray]:
-        return np.zeros_like(y) if self.unitarily_invariant else None
+    def orbit_covector(self, stack: np.ndarray) -> Optional[np.ndarray]:
+        return np.zeros_like(stack) if self.unitarily_invariant else None
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -429,10 +429,15 @@ class Randers(Constraint):
     def dim(self) -> Optional[int]:
         return int(round(np.sqrt(self.metric.shape[0] + 1)))
 
-    def values(self, stack) -> np.ndarray:
+    def _coords_and_quad(self, stack) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates c of each point and its quadratic form c.M.c,
+        which may overflow to inf."""
         coords = basis_coords(stack)
         with np.errstate(over="ignore", invalid="ignore"):
-            quad = (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+            return coords, (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+
+    def values(self, stack) -> np.ndarray:
+        coords, quad = self._coords_and_quad(stack)
         _require_representable(quad, coords, "randers quadratic form")
         return np.sqrt(quad) + _dots(self.oneform, coords)
 
@@ -447,14 +452,15 @@ class Randers(Constraint):
         # smooth everywhere except at the origin
         return float(np.linalg.norm(a))
 
-    def orbit_covector(self, y) -> np.ndarray:
+    def orbit_covector(self, stack) -> np.ndarray:
         # dF = (M c / sqrt(c.M.c) + b) . dc, and dc_j = -Re tr(T_j dY); the
         # orbit of Y = 0 is the one point, where any G will do
-        c = basis_coords(y)
-        quad = c @ self.metric @ c
-        if not quad > 0.0:
-            return np.zeros_like(y)
-        return from_coords(self.metric @ c / np.sqrt(quad) + self.oneform, len(y))
+        c, quad = self._coords_and_quad(stack)
+        smooth = quad > 0.0
+        grad = np.zeros_like(c)
+        grad[smooth] = ((self.metric @ c[smooth, :, None])[:, :, 0]
+                        / np.sqrt(quad[smooth])[:, None] + self.oneform)
+        return from_coords(grad, stack.shape[-1])
 
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         n = len(x)
@@ -514,13 +520,13 @@ class _Combinator(Constraint):
             return None
         return found[0]
 
-    def orbit_covector(self, y) -> Optional[np.ndarray]:
-        # the chain rule: G = dF/dF1 G1 + dF/dF2 G2
-        found = [c.orbit_covector(y) for c in self.children]
+    def orbit_covector(self, stack) -> Optional[np.ndarray]:
+        # the chain rule, row by row: G = dF/dF1 G1 + dF/dF2 G2
+        found = [c.orbit_covector(stack) for c in self.children]
         if any(g is None for g in found):
             return None
-        s1, s2 = self.slopes(y)
-        return s1 * found[0] + s2 * found[1]
+        s1, s2 = self.slopes(stack)
+        return s1[:, None, None] * found[0] + s2[:, None, None] * found[1]
 
     def values(self, stack) -> np.ndarray:
         if self.unitarily_invariant:  # one spectrum for the whole tree
@@ -539,6 +545,11 @@ class _Combinator(Constraint):
     def kink_margin(self, a, w) -> float:
         return min(c.kink_margin(a, w) for c in self.children)
 
+    def child_values(self, a, w) -> list[float]:
+        """Each child's F at A; an invariant child reads it off A's spectrum w."""
+        return [float(c.from_spectrum(w[None])[0]) if c.unitarily_invariant else c.value(a)
+                for c in self.children]
+
 
 @dataclass(frozen=True)
 class Sum(_Combinator):
@@ -548,8 +559,9 @@ class Sum(_Combinator):
     def combine(self, v1, v2):
         return v1 + v2
 
-    def slopes(self, y):
-        return 1.0, 1.0
+    def slopes(self, stack):
+        ones = np.ones(len(stack))
+        return ones, ones
 
 
 class _Extremum(_Combinator):
@@ -557,7 +569,7 @@ class _Extremum(_Combinator):
 
     def kink_margin(self, a, w) -> float:
         # kinks where the arms tie
-        v1, v2 = (c.value(a) for c in self.children)
+        v1, v2 = self.child_values(a, w)
         return min(abs(v1 - v2), super().kink_margin(a, w))
 
 
@@ -579,15 +591,17 @@ class _Mean(_Combinator):
             raise InvalidParameterError(f"{self.kind} exponent p = {self.p} {self.loss}")
         return out
 
-    def slopes(self, y):
-        # a child at 0 is at its least on the orbit, so it adds no slope
-        v = [c.value(y) for c in self.children]
-        f = self.combine(*v)
-        return tuple(self.slope(vi, f) if vi > 0.0 else 0.0 for vi in v)
+    def slopes(self, stack):
+        # per row, in scalar arithmetic as ``join`` combines; a child at 0 is
+        # at its least on the orbit, so it adds no slope
+        v1, v2 = (c.values(stack) for c in self.children)
+        f = self.join(v1, v2).tolist()
+        return tuple(np.array([self.slope(vi, fi) if vi > 0.0 else 0.0
+                               for vi, fi in zip(v.tolist(), f)]) for v in (v1, v2))
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes
-        return min(super().kink_margin(a, w), *(c.value(a) for c in self.children))
+        return min(super().kink_margin(a, w), *self.child_values(a, w))
 
 
 @dataclass(frozen=True)

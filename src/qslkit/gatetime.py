@@ -20,6 +20,7 @@ that means: inf loses, and NaN is confirmed with ``values`` like a near-tie.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import inf, isinf, pi
 from typing import Optional
 
@@ -51,11 +52,13 @@ from .linalg import (
 
 # Search defaults, for the F whose conjugation minimum has no closed form.
 # Trees with an orbit covector (Randers and invariant leaves joined by sums
-# and means) run BFGS on the exact chart gradient, stopped at gradient norm
-# GRADIENT_TOL; the others (max/min, states that differ, custom F) may kink,
-# so they run Nelder-Mead to simplex diameter SIMPLEX_TOL.  Either search
-# stops at SEARCH_MAXITER iterations.
+# and means) run the lockstep BFGS on the exact chart gradient, with the
+# Armijo constant ARMIJO_C1, stopped at gradient inf-norm GRADIENT_TOL; the
+# others (max/min, states that differ, custom F) may kink, so they run
+# Nelder-Mead to simplex diameter SIMPLEX_TOL.  Either search stops at
+# SEARCH_MAXITER iterations.
 GRADIENT_TOL = 1e-6
+ARMIJO_C1 = 1e-4
 SIMPLEX_TOL = 1e-9
 SEARCH_MAXITER = 20_000
 DEFAULT_RESTARTS = 16
@@ -157,11 +160,15 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
     its own closed form; a tree takes the V its varying leaves share.
     Otherwise V is charted as exp(sum_i c_i T_i) over the su basis and
-    minimized from several starts: by BFGS when F has an ``orbit_covector``,
-    else by Nelder-Mead.  BFGS takes F and its exact chart gradient from the
-    one eigendecomposition that forms V, so F(V X V†) is evaluated as the
-    returned conjugator reproduces it.  The identity chart point is always one
-    start, so the result can never exceed the plain branch value.
+    minimized from several starts, the identity chart point and Haar draws
+    from ``seed``: by BFGS when F has an ``orbit_covector``, all restarts in
+    lockstep on one stack (``_lockstep_bfgs``), else by scipy's Nelder-Mead,
+    one restart after another.  BFGS takes F and its exact chart gradient from
+    the one stacked eigendecomposition that forms every restart's V.  The
+    lowest value wins, ties broken by the coordinates, then by start order,
+    and ``f_value`` is F(V X V†) at the returned V, which reproduces it bit
+    for bit.  The identity start keeps the result at the plain branch value
+    or below, up to that re-evaluation's rounding.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
@@ -178,56 +185,130 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
             time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
             kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
                                                  optimizer_iterations=0, converged=True))
-    import scipy.optimize  # deferred: it is most of the package's import time
-
-    if func.orbit_covector(x) is not None:
-        def objective(coords: np.ndarray) -> tuple[float, np.ndarray]:
-            # Y = V X V† and G its covector: dF = -Re tr(dV V† [Y, G]), and with
-            # iA = U diag(w) U† the derivative of exp is dV = U (Phi o U† dA U) U†,
-            # Phi the divided differences of e^{-iw} (Daleckii-Krein).  So the
-            # gradient is coords(U (Psi o U† [Y, G] U) U†): Psi_kl = e^{i d/2} sinc(d/2)
-            # for d = w_k - w_l is Phi with V's own factor folded in, 1 at d = 0
-            v, w, u = _expm_eigh(from_coords(coords, n))
-            y = v @ x @ v.conj().T
-            f = func.value(y)  # first: it refuses the values the slopes would divide by
-            g = func.orbit_covector(y)
-            d = w[:, None] - w
-            k = u.conj().T @ (y @ g - g @ y) @ u
-            return f, basis_coords(u @ (np.exp(0.5j * d) * np.sinc(d / TWO_PI) * k) @ u.conj().T)
-
-        options = {"method": "BFGS", "jac": True,
-                   "options": {"gtol": GRADIENT_TOL, "maxiter": SEARCH_MAXITER}}
+    starts = np.array([np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
+                                               for _ in range(restarts - 1)])
+    if func.orbit_covector(x[None]) is not None:
+        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
     else:
-        def objective(coords: np.ndarray) -> float:
-            v = expm(from_coords(coords, n))
-            return func.value(v @ x @ v.conj().T)
-
-        options = {"method": "Nelder-Mead",
-                   "options": {"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
-                               "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER}}
-    starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
-                                      for _ in range(restarts - 1)]
-    results = [scipy.optimize.minimize(objective, start, **options) for start in starts]
+        ends, values, nits, converged = _nelder_mead(func, x, starts)
     # the lowest value wins, ties broken by the coordinates, then by start order
-    best = min(results, key=lambda res: (float(res.fun), tuple(res.x.tolist())))
-    best_value = float(best.fun)
-    any_converged = any(bool(res.success) for res in results)
-    conjugator = expm(from_coords(best.x, n))
+    best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
+    conjugator = expm(from_coords(ends[best], n))
+    f_value = func.value(conjugator @ x @ conjugator.conj().T)
     result = SpeedLimitResult(
-        time=best_value / kappa,
+        time=f_value / kappa,
         branch=branch,
         conjugator=conjugator,
-        f_value=best_value,
+        f_value=f_value,
         kappa=kappa,
         diagnostics=Diagnostics(branches_considered=1,
-                                optimizer_iterations=int(best.nit),
-                                converged=any_converged),
+                                optimizer_iterations=int(nits[best]),
+                                converged=bool(any(converged))),
     )
-    if not any_converged:
+    if not result.diagnostics.converged:
         raise OptimizerDidNotConvergeError(
             f"no restart converged within {SEARCH_MAXITER} iterations; "
-            f"best value so far {best_value:.17g}", best=result)
+            f"best value so far {f_value:.17g}", best=result)
     return result
+
+
+def _orbit_objective(func, x: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(V X V†) and its chart gradient at each row c of an (m, n**2 - 1)
+    coordinate stack, V = exp(from_coords(c)), from one stacked
+    eigendecomposition, one ``values`` and one ``orbit_covector`` call.
+
+    With Y = V X V† and G its covector, dF = -Re tr(dV V† [Y, G]), and with
+    iA = U diag(w) U† the derivative of exp is dV = U (Phi o U† dA U) U†, Phi
+    the divided differences of e^{-iw} (Daleckii-Krein).  So the gradient is
+    coords(U (Psi o U† [Y, G] U) U†): Psi_kl = e^{i d/2} sinc(d/2) for
+    d = w_k - w_l is Phi with V's own factor folded in, 1 at d = 0.
+    """
+    v, w, u = _expm_eigh(from_coords(coords, len(x)))
+    uh = u.conj().swapaxes(-1, -2)
+    y = v @ x @ v.conj().swapaxes(-1, -2)
+    f = func.values(y)  # first: it refuses the values the slopes would divide by
+    g = func.orbit_covector(y)
+    d = w[:, :, None] - w[:, None, :]
+    k = uh @ (y @ g - g @ y) @ u
+    return f, basis_coords(u @ (np.exp(0.5j * d) * np.sinc(d / TWO_PI) * k) @ uh)
+
+
+def _lockstep_bfgs(objective, starts: np.ndarray):
+    """BFGS from every row of ``starts`` at once: (ends, values, iterations,
+    converged), one entry per row.
+
+    ``objective`` maps an (m, k) stack of points to their values and
+    gradients.  Each pass makes one call, at one trial step of every restart
+    still running.  A restart backtracks along its quasi-Newton direction
+    until the step decreases F sufficiently (Armijo, ARMIJO_C1), shrinking the
+    step by quadratic interpolation, and updates its inverse Hessian unless
+    the step's curvature s.y is not positive (Nocedal and Wright, Numerical
+    Optimization, ch. 3 and 6).  Each iteration's first trial step is scipy's:
+    min(1, 2.02 (f_k - f_{k-1}) / slope), which is min(1, 1.01/|g|) at the
+    start.  A restart stops converged at gradient inf-norm GRADIENT_TOL, and
+    unconverged at SEARCH_MAXITER iterations or when no step that moves its
+    point decreases F enough.
+    """
+    x = starts.copy()
+    m, k = x.shape
+    f, g = objective(x)
+    h = np.tile(np.eye(k), (m, 1, 1))
+    nits = np.zeros(m, dtype=int)
+    converged = np.abs(g).max(axis=1) <= GRADIENT_TOL
+    running = ~converged
+    direction = -g
+    slope = -np.sum(g * g, axis=1)
+    step = 1.01 / np.maximum(np.linalg.norm(g, axis=1), 1.01)
+    while running.any():
+        r = np.flatnonzero(running)
+        trial = x[r] + step[r, None] * direction[r]
+        ft, gt = objective(trial)
+        ok = ft <= f[r] + ARMIJO_C1 * step[r] * slope[r]
+        # a rejected step shrinks to the least point of the parabola through
+        # f, the slope and ft, kept within [0.1, 0.5] of itself; a restart
+        # whose shrunk step no longer moves its point stops
+        b, a = r[~ok], r[ok]
+        fit = -0.5 * slope[b] * step[b] / (ft[~ok] - f[b] - slope[b] * step[b])
+        step[b] *= np.clip(fit, 0.1, 0.5)
+        running[b] = np.any(x[b] + step[b, None] * direction[b] != x[b], axis=1)
+        s, yk, decrease = trial[ok] - x[a], gt[ok] - g[a], ft[ok] - f[a]
+        x[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
+        nits[a] += 1
+        # H' = (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1/(s.y),
+        # skipped unless s.y > 0, which keeps H positive definite
+        sy = np.sum(s * yk, axis=1)
+        curved = sy > 0.0
+        rho = 1.0 / sy[curved, None, None]
+        s, yk, c = s[curved], yk[curved], a[curved]
+        left = np.eye(k) - rho * s[:, :, None] * yk[:, None, :]
+        h[c] = left @ h[c] @ left.swapaxes(-1, -2) + rho * s[:, :, None] * s[:, None, :]
+        converged[a] = np.abs(g[a]).max(axis=1) <= GRADIENT_TOL
+        running[a] = ~converged[a] & (nits[a] < SEARCH_MAXITER)
+        a, decrease = a[running[a]], decrease[running[a]]
+        direction[a] = -(h[a] @ g[a, :, None])[:, :, 0]
+        slope[a] = np.sum(g[a] * direction[a], axis=1)
+        # scipy's first trial; a step that gained nothing gives no scale, so 1
+        step[a] = np.where(decrease < 0.0, np.minimum(1.0, 2.02 * decrease / slope[a]), 1.0)
+    return x, f.tolist(), nits, converged
+
+
+def _nelder_mead(func, x: np.ndarray, starts: np.ndarray):
+    """Nelder-Mead from each row of ``starts`` in turn, for F that may kink
+    on the orbit: (ends, values, iterations, converged), one entry per row."""
+    import scipy.optimize  # deferred: it is most of the package's import time
+    n = len(x)
+
+    def objective(coords: np.ndarray) -> float:
+        v = expm(from_coords(coords, n))
+        return func.value(v @ x @ v.conj().T)
+
+    results = [scipy.optimize.minimize(
+        objective, start, method="Nelder-Mead",
+        options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
+                 "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER})
+        for start in starts]
+    return ([res.x for res in results], [float(res.fun) for res in results],
+            [res.nit for res in results], [bool(res.success) for res in results])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gate-time engine: branch minimization, conjugation search, action integral."""
 
+import functools
 import itertools
 import math
 import os
@@ -19,6 +20,7 @@ from qslkit import (
     InvalidParameterError,
     InvariantViolationError,
     Max,
+    Min,
     OptimizerDidNotConvergeError,
     PowerMean,
     Randers,
@@ -42,7 +44,7 @@ from qslkit import (
 )
 from qslkit.constraints import Constraint
 from qslkit.errors import QslError
-from qslkit.gatetime import Diagnostics
+from qslkit.gatetime import Diagnostics, _lockstep_bfgs, _orbit_objective
 from qslkit.linalg import expm
 from qslkit.gates import orthogonalizer, qft
 
@@ -196,8 +198,8 @@ def test_gate_time_self_check_covers_combinators():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only conj_min_time's search needs scipy.optimize and only eig_normal
-    # scipy.linalg; the two are most of the package's import time
+    # only conj_min_time's Nelder-Mead search needs scipy.optimize and only
+    # eig_normal scipy.linalg; the two are most of the package's import time
     code = "import sys, qslkit; print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])"
     assert child_stdout(code) == "[False, False]"
 
@@ -437,24 +439,37 @@ def test_conj_min_closed_form_validates_and_draws_nothing():
 RANDERS_DRIFT2 = Randers(metric=np.diag(RANDERS_METRIC_DIAG), oneform=np.array([0.2, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("func,method", [
-    (Sum(children=(Schatten(p=2), RANDERS_DRIFT2)), "BFGS"),
+@pytest.mark.parametrize("func,methods", [
+    (Sum(children=(Schatten(p=2), RANDERS_DRIFT2)), []),
     (Max(children=(GroundShiftedMoment(p=1, psi=basis_state(2)),
-                   EnergyUncertainty(psi=basis_state(2, 1)))), "Nelder-Mead"),
+                   EnergyUncertainty(psi=basis_state(2, 1)))), ["Nelder-Mead", "Nelder-Mead"]),
 ], ids=["randers_tree", "states_differ"])
-def test_conj_min_searches_when_no_closed_form_applies(monkeypatch, func, method):
+def test_conj_min_searches_when_no_closed_form_applies(monkeypatch, func, methods):
+    # a tree with an orbit covector runs the lockstep BFGS, which calls no
+    # scipy.optimize.minimize; the others run Nelder-Mead once per restart
     import scipy.optimize
-    methods = []
+    called = []
     minimize = scipy.optimize.minimize
 
     def spy(*args, **kwargs):
-        methods.append(kwargs["method"])
+        called.append(kwargs["method"])
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "minimize", spy)
     res = conj_min_time(func, 1.0, haar_su(2, seed=10), restarts=2, seed=0)
     assert res.diagnostics.optimizer_iterations > 0
-    assert methods == [method, method]
+    assert called == methods
+
+
+def test_only_the_nelder_mead_search_imports_scipy_optimize():
+    code = ("import sys, numpy as np, qslkit as q; "
+            "q.conj_min_time(q.Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), "
+            "oneform=np.zeros(8)), 1.0, q.haar_su(3, 1), restarts=2); "
+            "print('scipy.optimize' in sys.modules); "
+            "q.conj_min_time(q.Max(children=(q.GroundShiftedMoment(p=1, psi=q.basis_state(2)), "
+            "q.EnergyUncertainty(psi=q.basis_state(2, 1)))), 1.0, q.haar_su(2, 10), restarts=1); "
+            "print('scipy.optimize' in sys.modules)")
+    assert child_stdout(code).split() == ["False", "True"]
 
 
 @settings(max_examples=4, deadline=None)
@@ -512,7 +527,7 @@ def test_conj_min_bfgs_matches_nelder_mead_on_randers_su3():
     # form, against the Nelder-Mead reference from the same starts
     func = Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
     x = np.zeros((3, 3), dtype=complex)
-    assert func.orbit_minimizer(x) is None and func.orbit_covector(x) is not None
+    assert func.orbit_minimizer(x) is None and func.orbit_covector(x[None]) is not None
     for seed in range(6):
         gate = haar_su(3, seed=500 + seed)
         res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
@@ -544,26 +559,20 @@ def smooth_trees(n, seed):
             GeometricMean(p=2, children=(other, leaf))]
 
 
-class Captured(Exception):
-    pass
+def bfgs_objective(func, gate):
+    """The function conj_min_time's BFGS minimizes, coords -> (F, chart
+    gradient), on one-row stacks."""
+    x = principal_log(gate).value
 
+    def objective(c):
+        f, grad = _orbit_objective(func, x, c[None])
+        return f[0], grad[0]
 
-def bfgs_objective(monkeypatch, func, gate):
-    """The function conj_min_time hands BFGS: coords -> (F, chart gradient)."""
-    import scipy.optimize
-
-    def capture(fun, x0, **kwargs):
-        assert kwargs["method"] == "BFGS" and kwargs["jac"] is True
-        raise Captured(fun)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", capture)
-    with pytest.raises(Captured) as got:
-        conj_min_time(func, 1.0, gate, restarts=1)
-    return got.value.args[0]
+    return objective
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bfgs_gradient_matches_central_differences(monkeypatch, n):
+def test_bfgs_gradient_matches_central_differences(n):
     # at the identity chart point, a generic A, and an A whose iA has two
     # eigenvalues 1e-10 apart (for n = 2, A of norm 1e-9); h = 1e-5 leaves a
     # difference error near 1e-9, and a wrong slope errs by the gradient's size
@@ -576,13 +585,91 @@ def test_bfgs_gradient_matches_central_differences(monkeypatch, n):
         (q * (-1j * angles)) @ q.conj().T)
     points = [np.zeros(k), rng.standard_normal(k), near]
     for func in smooth_trees(n, seed=n):
-        objective = bfgs_objective(monkeypatch, func, haar_su(n, rng))
+        objective = bfgs_objective(func, haar_su(n, rng))
         for c in points:
             f, grad = objective(c)
             h = 1e-5
             diffs = np.array([objective(c + h * e)[0] - objective(c - h * e)[0]
                               for e in np.eye(k)]) / (2 * h)
             assert np.max(np.abs(grad - diffs)) < 1e-7 * max(1.0, f), func
+
+
+class Null(Constraint):
+    """F = 0 everywhere: an invariant child whose mean slope is 0 at every row."""
+
+    unitarily_invariant = True
+
+    def from_spectrum(self, w):
+        return np.zeros(len(w))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_orbit_covector_matches_one_row_calls(n):
+    # row i of a stack's covector has the bits of the stack of row i alone;
+    # the stack holds Y = 0 (Randers quad = 0, every mean's children at 0),
+    # generic points of several sizes and one with a repeated eigenvalue, and
+    # means with a Null child take slope 0 on every row
+    rng = np.random.default_rng(90 + n)
+    q = haar_su(n, rng)
+    repeated = (q * (1j * np.r_[np.full(n - 1, 0.3), -0.3 * (n - 1)])) @ q.conj().T
+    stack = np.stack([np.zeros((n, n), dtype=complex), repeated,
+                      *(scale * random_algebra_element(n, rng) for scale in (1e-6, 1.0, 40.0))])
+    leaf = smooth_trees(n, seed=n)[0]
+    trees = smooth_trees(n, seed=n) + [PowerMean(p=0.5, children=(leaf, Null())),
+                                       GeometricMean(p=2, children=(Null(), leaf))]
+    for func in trees:
+        got = func.orbit_covector(stack)
+        assert got.shape == stack.shape
+        for i in range(len(stack)):
+            assert got[i].tobytes() == func.orbit_covector(stack[i:i + 1])[0].tobytes(), func
+        assert not got[0].any()
+    for extremum in (Max, Min):
+        assert extremum(children=(Schatten(p=2), leaf)).orbit_covector(stack) is None
+        assert not extremum(children=(Schatten(p=2), SpectralRange())).orbit_covector(stack).any()
+
+
+@settings(max_examples=6, deadline=None)
+@given(pick=st.integers(0, 8), seed=st.integers(0, 2**32 - 1), restarts=st.integers(2, 4))
+@example(pick=0, seed=1, restarts=2)
+@example(pick=3, seed=2, restarts=3)
+@example(pick=6, seed=3, restarts=4)
+@example(pick=8, seed=4, restarts=3)
+def test_lockstep_bfgs_search(pick, seed, restarts):
+    # the trees of smooth_trees at n = 2, and the diagonal Randers at n = 3
+    # (pick 8): no Nelder-Mead reference from the same starts finds less, V
+    # reproduces f_value bit for bit, and a restart's path does not depend on
+    # the restarts run beside it, so restarts=1 is the identity-start search
+    import qslkit.gatetime as gt
+    if pick == 8:
+        n, func = 3, Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
+    else:
+        n, func = 2, smooth_trees(2, seed)[pick]
+    gate = haar_su(n, np.random.default_rng(seed))
+    res = conj_min_time(func, 1.0, gate, restarts=restarts, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gt, "SEARCH_MAXITER", 2_000)
+        try:
+            ref = conj_min_time(Opaque(func), 1.0, gate, restarts=restarts, seed=seed)
+        except OptimizerDidNotConvergeError as exc:
+            ref = exc.best
+    assert res.f_value <= ref.f_value + 1e-9
+    v = res.conjugator
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    assert abs(np.linalg.det(v) - 1.0) <= 1e-12
+    x = res.branch.value
+    assert evaluate(func, v @ x @ v.conj().T, validate=False) == res.f_value
+    assert res.diagnostics.converged and res.diagnostics.optimizer_iterations > 0
+
+    objective = functools.partial(_orbit_objective, func, x)
+    k = n * n - 1
+    starts = np.r_[np.zeros((1, k)), np.random.default_rng(seed).standard_normal((2, k))]
+    together = _lockstep_bfgs(objective, starts)
+    alone = _lockstep_bfgs(objective, starts[:1])
+    assert together[0][0].tobytes() == alone[0][0].tobytes()
+    assert (together[1][0], together[2][0], together[3][0]) == tuple(a[0] for a in alone[1:])
+    one = conj_min_time(func, 1.0, gate, restarts=1, seed=seed)
+    assert one.conjugator.tobytes() == expm(from_coords(alone[0][0], n)).tobytes()
+    assert one.diagnostics.optimizer_iterations == alone[2][0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -375,6 +375,43 @@ def test_kink_margin_facts_per_class():
     assert kink_margin(Sum(children=(Schatten(p=2), SpectralRange())), x) == gap
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kink_margin_reads_invariant_children_off_the_shared_spectrum(monkeypatch, n):
+    # the margins keep the bits of evaluating every child with ``value``,
+    # and an all-invariant tree makes no eigvalsh call besides the shared one
+    psi = basis_state(n)
+    trees = [Max(children=(Schatten(p=2), SpectralRange())),
+             PowerMean(p=3, children=(Schatten(p=1), Schatten(p=np.inf))),
+             Max(children=(GroundShiftedMoment(p=1.5, psi=psi),
+                           PowerMean(p=0.5, children=(SpectralRange(),
+                                                      GroundShiftedMoment(p=2, psi=psi)))))]
+
+    def by_value(func, a, w):
+        """The margin with every child of a max or a mean evaluated by ``value``."""
+        if not func.children:
+            return func.kink_margin(a, w)
+        inner = min(by_value(c, a, w) for c in func.children)
+        v1, v2 = (c.value(a) for c in func.children)
+        return min(abs(v1 - v2), inner) if func.kind == "max" else min(inner, v1, v2)
+
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        a = random_algebra_element(n, rng)
+        w = np.linalg.eigvalsh(1j * a)
+        for tree in trees:
+            assert kink_margin(tree, a) == by_value(tree, a, w), tree
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    kink_margin(trees[0], a)
+    assert calls == [(n, n)]
+
+
 def test_generic_probe_respects_margin():
     rng = np.random.default_rng(23)
     func = SpectralRange()
