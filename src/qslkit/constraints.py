@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvariantViolationError
 from .linalg import (basis_coords, from_coords, random_algebra_element, require_algebra_element,
-                     su_basis)
+                     su_basis, _from_eigen)
 
 STATE_ATOL = 1e-12
 
@@ -99,7 +99,9 @@ def require_state(psi) -> np.ndarray:
 
 
 def basis_state(n: int, k: int = 0) -> np.ndarray:
-    """Computational basis state |k> in dimension n."""
+    """Computational basis state |k> in dimension n (n >= 1, 0 <= k < n)."""
+    if not 0 <= k < n:
+        raise InvalidParameterError(f"basis state needs 0 <= k < n, got k = {k}, n = {n}")
     psi = np.zeros(n, dtype=np.complex128)
     psi[k] = 1.0
     return psi
@@ -219,10 +221,10 @@ class Constraint:
     def spectral_values(self, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F at every X_b = q diag(1j*phi_b) q†, one row phi_b of ``phi`` each.
 
-        This default assembles all points and makes one ``values`` call.  A
-        row whose F overflows a float may score inf or NaN.
+        This default forms the points bit for bit as branch values are formed,
+        and makes one ``values`` call; a row that overflows may score inf or NaN.
         """
-        return self.values((q * (1j * phi[:, None, :])) @ q.conj().T)
+        return self.values(_from_eigen(q, 1j * phi))
 
 
 def _carry(onto: np.ndarray, u: np.ndarray) -> np.ndarray:

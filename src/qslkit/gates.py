@@ -29,6 +29,8 @@ def orthogonalizer(theta: float, n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
+    if not np.isfinite(theta):
+        raise InvalidParameterError(f"theta must be finite, got {theta}")
     u = np.eye(n, dtype=np.complex128)
     phase = np.exp(1j * np.pi / 2.0)
     u[0, 0] = 0.0

@@ -10,9 +10,9 @@ already optimal.
 Every branch shares the gate's eigenbasis Q and differs only in its shifted
 angles phi_b, so the branch search never builds a matrix to score a branch:
 one batched ``spectral_values`` call evaluates F on all rows phi_b at once.
-Only the rows within NEAR_TIE of that minimum are assembled and re-evaluated
-with ``values``, which gives the same winner, bit for bit, as evaluating every
-assembled branch.
+Only the rows within NEAR_TIE of that minimum are assembled and sorted, in one
+stacked pass, and re-evaluated with one ``values`` call, which gives the same
+winner, bit for bit, as evaluating every assembled branch.
 A far branch whose F overflows may score inf or NaN; ``gate_time`` owns what
 that means: inf loses, and NaN is confirmed with ``values`` like a near-tie.
 """
@@ -110,9 +110,9 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
 
     The search is spectral: one eigendecomposition of the gate gives every
     branch's shifted angles, and one ``spectral_values`` call scores them all.
-    The near-ties of that score (within NEAR_TIE) are assembled, evaluated with
-    ``values``, sorted as ``log_branches`` sorts them, and the first minimum
-    wins, so the result is the one a full sweep over the same branches gives.
+    The near-ties of that score (within NEAR_TIE) are assembled and sorted as
+    ``log_branches`` sorts them in one stacked pass, evaluated with ``values``,
+    and the first minimum wins, as in a full sweep over the same branches.
     A score that overflows loses; one that is NaN, or underflows to 0, is
     confirmed, and ``values`` refuses an F that a float cannot hold.
 
@@ -127,10 +127,10 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
     # an overflowing score loses; a NaN one compares False below and is confirmed
     with np.errstate(over="ignore", invalid="ignore"):
         scores = func.spectral_values(clusters.angles + TWO_PI * shifts,
-                                      clusters.decomposition.eigenvectors)
+                                      clusters.eigenvectors)
     low = np.min(scores)
-    near = clusters.sorted_branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
-    confirmed = func.values(np.stack([b.value for b in near]))
+    rows, values, _ = clusters.branches(shifts[~(scores > low + NEAR_TIE * (1.0 + abs(low)))])
+    confirmed = func.values(values)
     best = int(np.argmin(confirmed))
     f_value = float(confirmed[best])
     if (principal is not None and func.unitarily_invariant
@@ -140,7 +140,7 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
             "minimal for a unitarily invariant constraint")
     return SpeedLimitResult(
         time=f_value / kappa,
-        branch=near[best],
+        branch=LogBranch(clusters.angles.copy(), rows[best], values[best]),
         conjugator=None,
         f_value=f_value,
         kappa=kappa,
@@ -179,33 +179,24 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     require_dim(func, n)
     rng = _as_rng(seed)
     conjugator = func.orbit_minimizer(x)
-    if conjugator is not None:
-        f_value = func.value(conjugator @ x @ conjugator.conj().T)
-        return SpeedLimitResult(
-            time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
-            kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
-                                                 optimizer_iterations=0, converged=True))
-    starts = np.array([np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
-                                               for _ in range(restarts - 1)])
-    if func.orbit_covector(x[None]) is not None:
-        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
-    else:
-        ends, values, nits, converged = _nelder_mead(func, x, starts)
-    # the lowest value wins, ties broken by the coordinates, then by start order
-    best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
-    conjugator = expm(from_coords(ends[best], n))
+    iterations, converged = 0, True
+    if conjugator is None:
+        starts = np.array([np.zeros(n * n - 1)] + [
+            basis_coords(principal_log(haar_su(n, rng)).value) for _ in range(restarts - 1)])
+        if func.orbit_covector(x[None]) is not None:
+            ends, values, nits, done = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
+        else:
+            ends, values, nits, done = _nelder_mead(func, x, starts)
+        # the lowest value wins, ties broken by the coordinates, then by start order
+        best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
+        conjugator = expm(from_coords(ends[best], n))
+        iterations, converged = int(nits[best]), bool(any(done))
     f_value = func.value(conjugator @ x @ conjugator.conj().T)
     result = SpeedLimitResult(
-        time=f_value / kappa,
-        branch=branch,
-        conjugator=conjugator,
-        f_value=f_value,
-        kappa=kappa,
-        diagnostics=Diagnostics(branches_considered=1,
-                                optimizer_iterations=int(nits[best]),
-                                converged=bool(any(converged))),
-    )
-    if not result.diagnostics.converged:
+        time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
+        kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
+                                             optimizer_iterations=iterations, converged=converged))
+    if not converged:
         raise OptimizerDidNotConvergeError(
             f"no restart converged within {SEARCH_MAXITER} iterations; "
             f"best value so far {f_value:.17g}", best=result)

@@ -257,17 +257,15 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
     n = xs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         hs = step * norms
-    try:  # the checks that hold for the whole stack at once
-        _require_algebra(xs)
-        con.require_dim(func, n)
-        basis = su_basis(n)
-    except QslError:
-        return _loop_reports(func, xs, hs, step, threshold)
-    per_call = max(1, con.STACK_ENTRIES // ((2 * len(basis) + 1) * n * n))
+    # at least one X per chunk; the inner max keeps a 0 x 0 X, left to the loop, from dividing by 0
+    per_call = max(1, con.STACK_ENTRIES // max(1, (2 * (n * n - 1) + 1) * n * n))
     reports = []
     for start in range(0, len(xs), per_call):
         x, h = xs[start:start + per_call], hs[start:start + per_call]
         try:
+            _require_algebra(x)
+            con.require_dim(func, n)
+            basis = su_basis(n)
             with np.errstate(over="ignore", invalid="ignore"):
                 hd = h[:, None, None, None] * (x[:, None] @ basis - basis @ x[:, None])
                 points = np.concatenate([x[:, None], x[:, None] + hd, x[:, None] - hd], axis=1)
@@ -330,12 +328,10 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
         raise IdentityGateError("geodesic check is undefined for the identity gate")
     if branch_sweep < 0:
         raise InvalidParameterError(f"branch_sweep must be >= 0, got {branch_sweep}")
-    shifts, _ = clusters.search_shifts(branch_sweep)
-    branches = clusters.sorted_branches(shifts)
-    reports = _geodesic_reports(func, np.stack([b.value for b in branches]),
-                                np.array([b.frobenius for b in branches]), step, threshold)
+    rows, values, norms = clusters.branches(clusters.search_shifts(branch_sweep)[0])
+    reports = _geodesic_reports(func, values, norms, step, threshold)
     best = min(range(len(reports)), key=lambda i: reports[i].normalized_max)
-    return replace(reports[best], branch_shifts=tuple(branches[best].shifts.tolist()))
+    return replace(reports[best], branch_shifts=tuple(rows[best].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +345,10 @@ def kink_margin(func, a) -> float:
     collisions, zero crossings under odd or fractional powers, ties between
     max/min arms), so probes are only considered generic when this margin is
     comfortably positive.  Each constraint class knows its own kinks; this
-    computes the spectrum they share once.
+    validates ``a`` as ``evaluate`` does and computes their shared spectrum once.
     """
-    a = np.asarray(a)
+    a = require_algebra_element(a)
+    con.require_dim(func, a.shape[0])
     return func.kink_margin(a, np.linalg.eigvalsh(1j * a))
 
 

@@ -117,8 +117,12 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
+        return _from_eigen(self.eigenvectors, self.eigenvalues)
+
+
+def _from_eigen(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Q diag(d) Q†, also over stacks of Q and of rows d, each with the bits it has alone."""
+    return (q * d[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def eig_normal(m) -> SpectralDecomposition:
@@ -168,7 +172,7 @@ def _expm_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w, u = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2), w, u
+    return _from_eigen(u, np.exp(-1j * w)), w, u
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ class LogBranch:
     def shifted_angles(self) -> np.ndarray:
         return self.angles + TWO_PI * self.shifts
 
-    @functools.cached_property  # the branch sort and the geodesic step both read it
+    @functools.cached_property  # computed when read: a conjugation search never does
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.value))
 
@@ -198,19 +202,28 @@ class LogBranch:
 class _EigenClusters:
     """Eigenstructure of a unitary, grouped into degenerate angle clusters."""
 
-    decomposition: SpectralDecomposition
+    eigenvectors: np.ndarray  # Q, one column per eigenvalue, in angle order
     angles: np.ndarray        # principal angle per eigenvalue, ascending
     base_shifts: np.ndarray   # +1 for members of a wrapped cluster sitting near -pi
     cluster_of: np.ndarray    # cluster id per eigenvalue
     n_clusters: int
     winding: int              # round(sum(angles + 2pi base_shifts) / 2pi)
 
-    def assemble(self, shifts: np.ndarray) -> LogBranch:
-        """The branch with these winding shifts: Q diag(1j*phi) Q†."""
-        phi = self.angles + TWO_PI * shifts
-        q = self.decomposition.eigenvectors
-        value = (q * (1j * phi)) @ q.conj().T
-        return LogBranch(angles=self.angles.copy(), shifts=shifts, value=value)
+    def log_values(self, shifts: np.ndarray) -> np.ndarray:
+        """Q diag(1j*phi) Q† at phi = angles + 2pi shifts, for one shift row or a stack."""
+        return _from_eigen(self.eigenvectors, 1j * (self.angles + TWO_PI * shifts))
+
+    def branches(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (m, n) shift rows ordered by Frobenius norm, then by shifts, with
+        their values and norms: one stacked product, one BLAS dot pair per row
+        (the bits of ``np.linalg.norm``) and one lexsort."""
+        values = self.log_values(rows)
+        flat = values.reshape(len(rows), self.angles.size ** 2)
+        norms = np.sqrt([v.real.dot(v.real) + v.imag.dot(v.imag) for v in flat])
+        if len(rows) < 2:  # in order; gate_time usually confirms a single near-tie
+            return rows, values, norms
+        order = np.lexsort((*rows.T[::-1], norms))
+        return rows[order], values[order], norms[order]
 
     def principal_shifts(self) -> np.ndarray:
         """Shifts of the principal branch (the rule is in ``principal_log``).
@@ -286,15 +299,9 @@ class _EigenClusters:
         rows = window if len(window) else principal[None]
         return rows, int(np.flatnonzero((rows == principal).all(axis=1))[0])
 
-    def sorted_branches(self, rows) -> list[LogBranch]:
-        """Assemble shift rows, ordered by Frobenius norm, then by shifts."""
-        branches = [self.assemble(s) for s in rows]
-        branches.sort(key=lambda b: (b.frobenius, tuple(b.shifts.tolist())))
-        return branches
 
-
-def _cluster_eigenangles(dec: SpectralDecomposition) -> _EigenClusters:
-    """Group (near-)equal eigenvalues of a unitary into angle clusters.
+def _eigen_clusters(u, atol: float = UNITARY_ATOL) -> _EigenClusters:
+    """Validate a special unitary and cluster its (near-)equal eigenangles.
 
     ``eig_normal`` returns the angles ascending, so a cluster is a run of
     angles no more than CLUSTER_ATOL apart and ids ascend with the angle.
@@ -303,6 +310,7 @@ def _cluster_eigenangles(dec: SpectralDecomposition) -> _EigenClusters:
     assigned to the members on the -pi side so the whole cluster behaves as if
     it sat at +pi.  The merged cluster keeps the last id.
     """
+    dec = eig_normal(require_special_unitary(u, atol=atol))
     theta = principal_angles(dec.eigenvalues)
     cluster_of = np.concatenate(([0], np.cumsum(np.diff(theta) > CLUSTER_ATOL)))
     base = np.zeros(len(theta), dtype=int)
@@ -312,19 +320,13 @@ def _cluster_eigenangles(dec: SpectralDecomposition) -> _EigenClusters:
         base[low] = 1
         cluster_of = np.where(low, cluster_of[-1], cluster_of) - 1
     return _EigenClusters(
-        decomposition=dec,
+        eigenvectors=dec.eigenvectors,
         angles=theta,
         base_shifts=base,
         cluster_of=cluster_of,
         n_clusters=int(cluster_of[-1]) + 1,
         winding=int(np.rint((theta + TWO_PI * base).sum() / TWO_PI)),
     )
-
-
-def _eigen_clusters(u, atol: float = UNITARY_ATOL) -> _EigenClusters:
-    """Validate a special unitary and cluster its eigenangles."""
-    u = require_special_unitary(u, atol=atol)
-    return _cluster_eigenangles(eig_normal(u))
 
 
 def principal_log(u, atol: float = UNITARY_ATOL) -> LogBranch:
@@ -339,7 +341,8 @@ def principal_log(u, atol: float = UNITARY_ATOL) -> LogBranch:
     how many of its members the correction needs.
     """
     clusters = _eigen_clusters(u, atol)
-    return clusters.assemble(clusters.principal_shifts())
+    shifts = clusters.principal_shifts()
+    return LogBranch(clusters.angles.copy(), shifts, clusters.log_values(shifts))
 
 
 def log_branches(u, n_max: int, atol: float = UNITARY_ATOL) -> list[LogBranch]:
@@ -352,7 +355,8 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL) -> list[LogBranch]:
     Frobenius norm of the branch value, ties broken by the shift vector.
     """
     clusters = _eigen_clusters(u, atol)
-    return clusters.sorted_branches(clusters.branch_shifts(n_max))
+    rows, values, _ = clusters.branches(clusters.branch_shifts(n_max))
+    return [LogBranch(clusters.angles.copy(), s, v) for s, v in zip(rows, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 from qslkit.cli import main
 from qslkit.jsonio import dumps_canonical, load_matrix, matrix_to_json, save_matrix
-from qslkit import Schatten, gate_time, haar_su, log_branches, principal_log
+from qslkit import (InvalidParameterError, Schatten, gate_time, haar_su, log_branches,
+                    principal_log)
 from qslkit.gates import orthogonalizer
 
 
@@ -161,6 +162,17 @@ def test_exit_4_on_non_unitary_gate_file(capsys, tmp_path, schatten2):
                            "--constraint", schatten2)
     assert code == 4
     assert "unitary" in err
+
+
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_exit_4_on_non_finite_orthogonalizer_angle(capsys, schatten2, theta):
+    # refused before any arithmetic: no numpy RuntimeWarning, one error line
+    with pytest.raises(InvalidParameterError, match=f"theta must be finite, got {float(theta)}"):
+        orthogonalizer(float(theta), 2)
+    code, out, err = run_cli(capsys, "time", "--gate", f"orthogonalizer:{theta}:2",
+                             "--constraint", schatten2, "--kappa", "1")
+    assert (code, out) == (4, "")
+    assert err == f"error: theta must be finite, got {float(theta)}\n"
 
 
 @pytest.mark.parametrize("command", ["time", "geodesic"])

@@ -337,6 +337,14 @@ def test_state_validation_rejects_non_finite(psi):
         EnergyUncertainty(psi=np.array(psi, dtype=complex))
 
 
+@pytest.mark.parametrize("args", [(2, -1), (2, 2), (0,), (1, 1)])
+def test_basis_state_refuses_an_index_out_of_range(args):
+    # (2, -1) once gave |1> by negative indexing; the others an IndexError
+    with pytest.raises(InvalidParameterError, match="basis state needs 0 <= k < n"):
+        basis_state(*args)
+    assert basis_state(1).tolist() == [1.0] and basis_state(3, 2).tolist() == [0.0, 0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # batched spectral form
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from qslkit import (
     DegenerateBranchTieError,
+    DimensionMismatchError,
     EnergyUncertainty,
     GroundShiftedMoment,
     IdentityGateError,
@@ -419,6 +420,25 @@ def test_generic_probe_respects_margin():
         x = sample_generic_probe(func, 3, rng)
         w = np.linalg.eigvalsh(1j * x)
         assert np.min(np.diff(w)) > GENERIC_MARGIN == 1e-3
+
+
+@pytest.mark.parametrize("case", ["nan", "not-square", "dim", "probe-dim"])
+def test_kink_margin_and_generic_probe_validate_their_input(case):
+    # a NaN point once read as smooth (inf), a 2 x 3 one raised LinAlgError,
+    # and a state in C^3 was read at a 2 x 2 point (0.94) or probe
+    ml3 = GroundShiftedMoment(p=1, psi=basis_state(3))
+    call, error, text = {
+        "nan": (lambda: kink_margin(Schatten(p=2), np.full((2, 2), np.nan)),
+                InvariantViolationError, "not anti-Hermitian"),
+        "not-square": (lambda: kink_margin(Schatten(p=2), np.zeros((2, 3))),
+                       DimensionMismatchError, "expected a square matrix"),
+        "dim": (lambda: kink_margin(ml3, random_algebra_element(2, 0)),
+                DimensionMismatchError, "expects dimension 3, got dimension 2"),
+        "probe-dim": (lambda: sample_generic_probe(ml3, 2, 0),
+                      DimensionMismatchError, "expects dimension 3, got dimension 2"),
+    }[case]
+    with pytest.raises(error, match=text):
+        call()
 
 
 # ---------------------------------------------------------------------------

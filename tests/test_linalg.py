@@ -389,6 +389,52 @@ def test_branch_lattice_above_the_cap_is_refused_before_allocating():
     assert peak < 1_000_000
 
 
+def per_row_branches(clusters, rows):
+    """The reference for ``_EigenClusters.branches``: one product and one
+    ``np.linalg.norm`` per row, then a sort on (norm, shifts)."""
+    q = clusters.eigenvectors
+    out = []
+    for s in rows:
+        value = (q * (1j * (clusters.angles + 2 * np.pi * s))) @ q.conj().T
+        out.append((float(np.linalg.norm(value)), tuple(s.tolist()), value))
+    return sorted(out, key=lambda r: r[:2])
+
+
+BRANCH_GATES = {
+    **{f"haar{n}": (lambda n=n: haar_su(n, seed=60 + n)) for n in range(2, 7)},
+    **{f"qft{n}": (lambda n=n: qft(n)) for n in range(2, 9)},
+    "orthogonalizer_pi_2": lambda: orthogonalizer(np.pi, 2),
+    "orthogonalizer_pi_4": lambda: orthogonalizer(np.pi, 4),
+    "orthogonalizer_0.7_3": lambda: orthogonalizer(0.7, 3),
+    "minus_identity4": lambda: -np.eye(4, dtype=complex),
+    **NAMED_GATES,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(BRANCH_GATES))
+def test_stacked_branches_match_the_per_row_reference(gate):
+    # values, norms and order bit for bit: the windows at n_max 0-2 (empty
+    # for -I in SU(4), and for wrap5 at n_max 0, whose winding is nonzero),
+    # a single row, and up to n = 4 the whole {-1, 0, 1} cube, whose rows
+    # are not traceless and tie in norm
+    clusters = _eigen_clusters(BRANCH_GATES[gate]())
+    n = len(clusters.angles)
+    sets = [clusters.branch_shifts(n_max) for n_max in range(3)]
+    sets += [rows[:1] for rows in sets if len(rows)]
+    if n <= 4:
+        sets.append(np.array(list(itertools.product((-1, 0, 1), repeat=n))))
+    if gate in ("minus_identity4", "wrap5"):
+        assert clusters.winding != 0 and sets[0].shape == (0, n)
+    for rows in sets:
+        got, values, norms = clusters.branches(rows)
+        want = per_row_branches(clusters, rows)
+        assert (got.shape, values.shape, norms.shape) == (rows.shape, (len(rows), n, n),
+                                                         (len(rows),))
+        assert [tuple(r) for r in got.tolist()] == [w[1] for w in want]
+        assert norms.tolist() == [w[0] for w in want]
+        assert all(v.tobytes() == w[2].tobytes() for v, w in zip(values, want))
+
+
 def test_branches_empty_for_minus_identity():
     # -I in SU(2) has no cluster-coherent traceless branch
     assert log_branches(-np.eye(2, dtype=complex), 3) == []

@@ -202,10 +202,10 @@ def branch_loop(func, gate, sweep, step):
     """gate_geodesic_check as one geodesic_vector_check per branch, the first
     best: its report, or the first error it raises."""
     clusters = linalg._eigen_clusters(gate)
-    shifts, _ = clusters.search_shifts(sweep)
-    reports = [replace(geodesic_vector_check(func, b.value, step=step),
-                       branch_shifts=tuple(b.shifts.tolist()))
-               for b in clusters.sorted_branches(shifts)]
+    rows, values, _ = clusters.branches(clusters.search_shifts(sweep)[0])
+    reports = [replace(geodesic_vector_check(func, x, step=step),
+                       branch_shifts=tuple(s.tolist()))
+               for s, x in zip(rows, values)]
     return min(reports, key=lambda rep: rep.normalized_max)
 
 
