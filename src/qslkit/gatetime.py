@@ -139,14 +139,10 @@ def gate_time(func, kappa: float, gate, n_max: int = 0,
             "internal consistency failure: principal branch is not "
             "minimal for a unitarily invariant constraint")
     return SpeedLimitResult(
-        time=f_value / kappa,
-        branch=LogBranch(clusters.angles.copy(), rows[best], values[best]),
-        conjugator=None,
-        f_value=f_value,
-        kappa=kappa,
+        time=f_value / kappa, conjugator=None, f_value=f_value, kappa=kappa,
+        branch=LogBranch(clusters.angles.copy(), rows[best].copy(), values[best].copy()),
         diagnostics=Diagnostics(branches_considered=len(shifts),
-                                optimizer_iterations=None, converged=True),
-    )
+                                optimizer_iterations=None, converged=True))
 
 
 def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
@@ -179,24 +175,33 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     require_dim(func, n)
     rng = _as_rng(seed)
     conjugator = func.orbit_minimizer(x)
-    iterations, converged = 0, True
-    if conjugator is None:
-        starts = np.array([np.zeros(n * n - 1)] + [
-            basis_coords(principal_log(haar_su(n, rng)).value) for _ in range(restarts - 1)])
-        if func.orbit_covector(x[None]) is not None:
-            ends, values, nits, done = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
-        else:
-            ends, values, nits, done = _nelder_mead(func, x, starts)
-        # the lowest value wins, ties broken by the coordinates, then by start order
-        best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
-        conjugator = expm(from_coords(ends[best], n))
-        iterations, converged = int(nits[best]), bool(any(done))
+    if conjugator is not None:
+        f_value = func.value(conjugator @ x @ conjugator.conj().T)
+        return SpeedLimitResult(
+            time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
+            kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
+                                                 optimizer_iterations=0, converged=True))
+    starts = np.array([np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
+                                               for _ in range(restarts - 1)])
+    if func.orbit_covector(x[None]) is not None:
+        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
+    else:
+        ends, values, nits, converged = _nelder_mead(func, x, starts)
+    # the lowest value wins, ties broken by the coordinates, then by start order
+    best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
+    conjugator = expm(from_coords(ends[best], n))
     f_value = func.value(conjugator @ x @ conjugator.conj().T)
     result = SpeedLimitResult(
-        time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
-        kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
-                                             optimizer_iterations=iterations, converged=converged))
-    if not converged:
+        time=f_value / kappa,
+        branch=branch,
+        conjugator=conjugator,
+        f_value=f_value,
+        kappa=kappa,
+        diagnostics=Diagnostics(branches_considered=1,
+                                optimizer_iterations=int(nits[best]),
+                                converged=bool(any(converged))),
+    )
+    if not result.diagnostics.converged:
         raise OptimizerDidNotConvergeError(
             f"no restart converged within {SEARCH_MAXITER} iterations; "
             f"best value so far {f_value:.17g}", best=result)

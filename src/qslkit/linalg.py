@@ -220,8 +220,6 @@ class _EigenClusters:
         values = self.log_values(rows)
         flat = values.reshape(len(rows), self.angles.size ** 2)
         norms = np.sqrt([v.real.dot(v.real) + v.imag.dot(v.imag) for v in flat])
-        if len(rows) < 2:  # in order; gate_time usually confirms a single near-tie
-            return rows, values, norms
         order = np.lexsort((*rows.T[::-1], norms))
         return rows[order], values[order], norms[order]
 
@@ -356,7 +354,7 @@ def log_branches(u, n_max: int, atol: float = UNITARY_ATOL) -> list[LogBranch]:
     """
     clusters = _eigen_clusters(u, atol)
     rows, values, _ = clusters.branches(clusters.branch_shifts(n_max))
-    return [LogBranch(clusters.angles.copy(), s, v) for s, v in zip(rows, values)]
+    return [LogBranch(clusters.angles.copy(), s.copy(), v.copy()) for s, v in zip(rows, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,15 @@ def test_stacked_branches_match_the_per_row_reference(gate):
         assert all(v.tobytes() == w[2].tobytes() for v, w in zip(values, want))
 
 
+def test_returned_branches_own_their_arrays():
+    # a kept branch must not hold the whole stacked pass alive
+    from qslkit import Schatten, gate_time
+    gate = haar_su(4, np.random.default_rng(3))
+    branches = log_branches(gate, 1) + [gate_time(Schatten(p=2), 1.0, gate, n_max=1).branch]
+    assert len(branches) > 2
+    assert all(b.value.base is None and b.shifts.base is None for b in branches)
+
+
 def test_branches_empty_for_minus_identity():
     # -I in SU(2) has no cluster-coherent traceless branch
     assert log_branches(-np.eye(2, dtype=complex), 3) == []
