@@ -47,12 +47,11 @@ from .linalg import (
     principal_log,
     _as_rng,
     _eigen_clusters,
-    _expm_eigh,
 )
 
 # Search defaults, for the F whose conjugation minimum has no closed form.
 # Trees with an orbit covector (Randers and invariant leaves joined by sums
-# and means) run the lockstep BFGS on the exact chart gradient, with the
+# and means) run the lockstep BFGS on the exact frame gradient, with the
 # Armijo constant ARMIJO_C1, stopped at gradient inf-norm GRADIENT_TOL; the
 # others (max/min, states that differ, custom F) may kink, so they run
 # Nelder-Mead to simplex diameter SIMPLEX_TOL.  Either search stops at
@@ -155,16 +154,16 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     maps the ground eigenvector of 1j*X onto psi for ml and mt, and a Randers
     leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
     its own closed form; a tree takes the V its varying leaves share.
-    Otherwise V is charted as exp(sum_i c_i T_i) over the su basis and
-    minimized from several starts, the identity chart point and Haar draws
-    from ``seed``: by BFGS when F has an ``orbit_covector``, all restarts in
-    lockstep on one stack (``_lockstep_bfgs``), else by scipy's Nelder-Mead,
-    one restart after another.  BFGS takes F and its exact chart gradient from
-    the one stacked eigendecomposition that forms every restart's V.  The
-    lowest value wins, ties broken by the coordinates, then by start order,
-    and ``f_value`` is F(V X V†) at the returned V, which reproduces it bit
-    for bit.  The identity start keeps the result at the plain branch value
-    or below, up to that re-evaluation's rounding.
+    Otherwise V is minimized from several starts, the identity and Haar draws
+    from ``seed``.  When F has an ``orbit_covector``, every restart runs BFGS
+    in a frame that moves with its V, all in lockstep on one stack
+    (``_lockstep_bfgs``).  Otherwise V is charted as exp(sum_i c_i T_i) over
+    the su basis, each draw at its principal logarithm's coordinates, and
+    scipy's Nelder-Mead runs from each chart point in turn.  The lowest value
+    wins, ties broken by start order (for Nelder-Mead first by the final chart
+    point), and ``f_value`` is F(V X V†) at the returned V, which reproduces
+    it bit for bit.  The identity start keeps the result at the plain branch
+    value or below, up to that re-evaluation's rounding.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
@@ -181,15 +180,15 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
             time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
             kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
                                                  optimizer_iterations=0, converged=True))
-    starts = np.array([np.zeros(n * n - 1)] + [basis_coords(principal_log(haar_su(n, rng)).value)
-                                               for _ in range(restarts - 1)])
+    draws = [haar_su(n, rng) for _ in range(restarts - 1)]
     if func.orbit_covector(x[None]) is not None:
-        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func, x), starts)
+        starts = np.array([np.eye(n, dtype=np.complex128)] + draws)
+        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func), x, starts)
     else:
+        starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(v).value) for v in draws]
         ends, values, nits, converged = _nelder_mead(func, x, starts)
-    # the lowest value wins, ties broken by the coordinates, then by start order
-    best = min(range(restarts), key=lambda i: (values[i], tuple(ends[i].tolist())))
-    conjugator = expm(from_coords(ends[best], n))
+    best = min(range(restarts), key=lambda i: (values[i], i))
+    conjugator = ends[best].copy()  # its own array, not a view that keeps every restart's
     f_value = func.value(conjugator @ x @ conjugator.conj().T)
     result = SpeedLimitResult(
         time=f_value / kappa,
@@ -208,46 +207,45 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     return result
 
 
-def _orbit_objective(func, x: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(V X V†) and its chart gradient at each row c of an (m, n**2 - 1)
-    coordinate stack, V = exp(from_coords(c)), from one stacked
-    eigendecomposition, one ``values`` and one ``orbit_covector`` call.
+def _orbit_objective(func, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F at each Y of an (m, n, n) stack and its frame gradient, the slopes of
+    t -> F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis, from one
+    ``values`` and one ``orbit_covector`` call.
 
-    With Y = V X V† and G its covector, dF = -Re tr(dV V† [Y, G]), and with
-    iA = U diag(w) U† the derivative of exp is dV = U (Phi o U† dA U) U†, Phi
-    the divided differences of e^{-iw} (Daleckii-Krein).  So the gradient is
-    coords(U (Psi o U† [Y, G] U) U†): Psi_kl = e^{i d/2} sinc(d/2) for
-    d = w_k - w_l is Phi with V's own factor folded in, 1 at d = 0.
+    With G the covector of Y, that slope is -Re tr(G [T_i, Y]), which is
+    -Re tr(T_i (Y G - G Y)): the coordinates of Y G - G Y.
     """
-    v, w, u = _expm_eigh(from_coords(coords, len(x)))
-    uh = u.conj().swapaxes(-1, -2)
-    y = v @ x @ v.conj().swapaxes(-1, -2)
     f = func.values(y)  # first: it refuses the values the slopes would divide by
     g = func.orbit_covector(y)
-    d = w[:, :, None] - w[:, None, :]
-    k = uh @ (y @ g - g @ y) @ u
-    return f, basis_coords(u @ (np.exp(0.5j * d) * np.sinc(d / TWO_PI) * k) @ uh)
+    return f, basis_coords(y @ g - g @ y)
 
 
-def _lockstep_bfgs(objective, starts: np.ndarray):
-    """BFGS from every row of ``starts`` at once: (ends, values, iterations,
-    converged), one entry per row.
+def _lockstep_bfgs(objective, x: np.ndarray, starts: np.ndarray):
+    """BFGS over the conjugations V X V† from every V of the (m, n, n) stack
+    ``starts`` at once: (ends, values, iterations, converged), one entry per
+    start, ends the (m, n, n) stack of final V.
 
-    ``objective`` maps an (m, k) stack of points to their values and
-    gradients.  Each pass makes one call, at one trial step of every restart
-    still running.  A restart backtracks along its quasi-Newton direction
-    until the step decreases F sufficiently (Armijo, ARMIJO_C1), shrinking the
-    step by quadratic interpolation, and updates its inverse Hessian unless
-    the step's curvature s.y is not positive (Nocedal and Wright, Numerical
-    Optimization, ch. 3 and 6).  Each iteration's first trial step is scipy's:
-    min(1, 2.02 (f_k - f_{k-1}) / slope), which is min(1, 1.01/|g|) at the
-    start.  A restart stops converged at gradient inf-norm GRADIENT_TOL, and
-    unconverged at SEARCH_MAXITER iterations or when no step that moves its
-    point decreases F enough.
+    Each restart works in a frame that moves with it (right-trivialized steps:
+    Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
+    ch. 4 and 8).  It holds V and Y = V X V†; a step W, coordinates over the
+    su basis, tries Y' = E Y E† for E = exp(W), and accepting it sets V to E V
+    and Y to Y'.  ``objective`` maps an (m, n, n) stack of Y to their values
+    and frame gradients, and each pass makes one call, at one trial step of
+    every restart still running.  A restart backtracks along its quasi-Newton
+    direction until the step decreases F sufficiently (Armijo, ARMIJO_C1),
+    shrinking the step by quadratic interpolation, and updates its inverse
+    Hessian unless the step's curvature s.y is not positive (Nocedal and
+    Wright, Numerical Optimization, ch. 3 and 6).  Each iteration's first
+    trial step is scipy's: min(1, 2.02 (f_k - f_{k-1}) / slope), which is
+    min(1, 1.01/|g|) at the start.  A restart stops converged at gradient
+    inf-norm GRADIENT_TOL, and unconverged at SEARCH_MAXITER iterations or when
+    no step that moves its V decreases F enough.
     """
-    x = starts.copy()
-    m, k = x.shape
-    f, g = objective(x)
+    n = len(x)
+    v = starts.copy()
+    y = v @ x @ v.conj().swapaxes(-1, -2)
+    m, k = len(v), n * n - 1
+    f, g = objective(y)
     h = np.tile(np.eye(k), (m, 1, 1))
     nits = np.zeros(m, dtype=int)
     converged = np.abs(g).max(axis=1) <= GRADIENT_TOL
@@ -257,18 +255,21 @@ def _lockstep_bfgs(objective, starts: np.ndarray):
     step = 1.01 / np.maximum(np.linalg.norm(g, axis=1), 1.01)
     while running.any():
         r = np.flatnonzero(running)
-        trial = x[r] + step[r, None] * direction[r]
+        w = step[r, None] * direction[r]
+        e = expm(from_coords(w, n))
+        trial = e @ y[r] @ e.conj().swapaxes(-1, -2)
         ft, gt = objective(trial)
         ok = ft <= f[r] + ARMIJO_C1 * step[r] * slope[r]
         # a rejected step shrinks to the least point of the parabola through
         # f, the slope and ft, kept within [0.1, 0.5] of itself; a restart
-        # whose shrunk step no longer moves its point stops
+        # stops when its shrunk step no longer moves V to first order, W V
         b, a = r[~ok], r[ok]
         fit = -0.5 * slope[b] * step[b] / (ft[~ok] - f[b] - slope[b] * step[b])
         step[b] *= np.clip(fit, 0.1, 0.5)
-        running[b] = np.any(x[b] + step[b, None] * direction[b] != x[b], axis=1)
-        s, yk, decrease = trial[ok] - x[a], gt[ok] - g[a], ft[ok] - f[a]
-        x[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
+        moved = v[b] + from_coords(step[b, None] * direction[b], n) @ v[b] != v[b]
+        running[b] = moved.any(axis=(1, 2))
+        s, yk, decrease = w[ok], gt[ok] - g[a], ft[ok] - f[a]
+        v[a], y[a], f[a], g[a] = e[ok] @ v[a], trial[ok], ft[ok], gt[ok]
         nits[a] += 1
         # H' = (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1/(s.y),
         # skipped unless s.y > 0, which keeps H positive definite
@@ -285,12 +286,15 @@ def _lockstep_bfgs(objective, starts: np.ndarray):
         slope[a] = np.sum(g[a] * direction[a], axis=1)
         # scipy's first trial; a step that gained nothing gives no scale, so 1
         step[a] = np.where(decrease < 0.0, np.minimum(1.0, 2.02 * decrease / slope[a]), 1.0)
-    return x, f.tolist(), nits, converged
+    return v, f.tolist(), nits, converged
 
 
-def _nelder_mead(func, x: np.ndarray, starts: np.ndarray):
-    """Nelder-Mead from each row of ``starts`` in turn, for F that may kink
-    on the orbit: (ends, values, iterations, converged), one entry per row."""
+def _nelder_mead(func, x: np.ndarray, starts: list[np.ndarray]):
+    """Nelder-Mead from each chart point of ``starts`` in turn, for F that may
+    kink on the orbit: (ends, values, iterations, converged), one entry per
+    start, each end the conjugator exp(sum_i c_i T_i) at its final point.
+    The entries are sorted by value, then by final chart point, then by start,
+    so the first least value is the one the chart coordinates pick."""
     import scipy.optimize  # deferred: it is most of the package's import time
     n = len(x)
 
@@ -298,12 +302,13 @@ def _nelder_mead(func, x: np.ndarray, starts: np.ndarray):
         v = expm(from_coords(coords, n))
         return func.value(v @ x @ v.conj().T)
 
-    results = [scipy.optimize.minimize(
+    results = sorted((scipy.optimize.minimize(
         objective, start, method="Nelder-Mead",
         options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
                  "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER})
-        for start in starts]
-    return ([res.x for res in results], [float(res.fun) for res in results],
+        for start in starts), key=lambda res: (float(res.fun), tuple(res.x.tolist())))
+    return ([expm(from_coords(res.x, n)) for res in results],
+            [float(res.fun) for res in results],
             [res.nit for res in results], [bool(res.success) for res in results])
 
 

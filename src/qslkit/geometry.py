@@ -257,8 +257,8 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
     n = xs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         hs = step * norms
-    # at least one X per chunk; the inner max keeps a 0 x 0 X, left to the loop, from dividing by 0
-    per_call = max(1, con.STACK_ENTRIES // max(1, (2 * (n * n - 1) + 1) * n * n))
+    # at least one X per chunk
+    per_call = max(1, con.STACK_ENTRIES // ((2 * (n * n - 1) + 1) * n * n))
     reports = []
     for start in range(0, len(xs), per_call):
         x, h = xs[start:start + per_call], hs[start:start + per_call]

@@ -43,10 +43,13 @@ MAX_BRANCH_ROWS = 1_000_000
 # ---------------------------------------------------------------------------
 
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array or raise DimensionMismatchError."""
+    """Coerce to a non-empty square complex128 array or raise
+    DimensionMismatchError."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise DimensionMismatchError(f"expected a non-empty matrix, got shape {m.shape}")
     return m
 
 
@@ -67,7 +70,7 @@ def require_special_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
 def _as_square_stack(m) -> np.ndarray:
     """``as_square_matrix``, also accepting an (m, n, n) stack of square matrices."""
     m = np.asarray(m, dtype=np.complex128)
-    return m if m.ndim == 3 and m.shape[1] == m.shape[2] else as_square_matrix(m)
+    return m if m.ndim == 3 and m.shape[1] == m.shape[2] > 0 else as_square_matrix(m)
 
 
 def require_algebra_element(a) -> np.ndarray:
@@ -161,18 +164,12 @@ def expm(a) -> np.ndarray:
     The result is special unitary by construction: the eigenvalues of A are
     purely imaginary and sum to zero.
     """
-    return _expm_eigh(a)[0]
-
-
-def _expm_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``expm`` with the decomposition iA = U diag(w) U† it is formed from:
-    (exp(A), w, U)."""
     a = _require_algebra(_as_square_stack(a))
     try:
         w, u = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
-    return _from_eigen(u, np.exp(-1j * w)), w, u
+    return _from_eigen(u, np.exp(-1j * w))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from qslkit import (
     log_branches,
     principal_log,
     random_algebra_element,
+    su_basis,
 )
 from qslkit.constraints import Constraint
 from qslkit.errors import QslError
@@ -559,21 +560,10 @@ def smooth_trees(n, seed):
             GeometricMean(p=2, children=(other, leaf))]
 
 
-def bfgs_objective(func, gate):
-    """The function conj_min_time's BFGS minimizes, coords -> (F, chart
-    gradient), on one-row stacks."""
-    x = principal_log(gate).value
-
-    def objective(c):
-        f, grad = _orbit_objective(func, x, c[None])
-        return f[0], grad[0]
-
-    return objective
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bfgs_gradient_matches_central_differences(n):
-    # at the identity chart point, a generic A, and an A whose iA has two
+def test_frame_gradient_matches_central_differences(n):
+    # the slopes of t -> F(e^{t T_i} Y e^{-t T_i}) at Y = V X V† for V = I
+    # (Y = X), V = exp(A) for a generic A, and an A whose iA has two
     # eigenvalues 1e-10 apart (for n = 2, A of norm 1e-9); h = 1e-5 leaves a
     # difference error near 1e-9, and a wrong slope errs by the gradient's size
     rng = np.random.default_rng(70 + n)
@@ -583,15 +573,17 @@ def test_bfgs_gradient_matches_central_differences(n):
     q = haar_su(n, rng)
     near = 1e-9 * rng.standard_normal(k) if n == 2 else basis_coords(
         (q * (-1j * angles)) @ q.conj().T)
-    points = [np.zeros(k), rng.standard_normal(k), near]
+    conjugators = [np.eye(n)] + [expm(from_coords(c, n)) for c in (rng.standard_normal(k), near)]
+    h = 1e-5
+    steps = [(expm(h * t), expm(-h * t)) for t in su_basis(n)]
     for func in smooth_trees(n, seed=n):
-        objective = bfgs_objective(func, haar_su(n, rng))
-        for c in points:
-            f, grad = objective(c)
-            h = 1e-5
-            diffs = np.array([objective(c + h * e)[0] - objective(c - h * e)[0]
-                              for e in np.eye(k)]) / (2 * h)
-            assert np.max(np.abs(grad - diffs)) < 1e-7 * max(1.0, f), func
+        x = principal_log(haar_su(n, rng)).value
+        for v in conjugators:
+            y = v @ x @ v.conj().T
+            f, grad = _orbit_objective(func, y[None])
+            diffs = np.array([func.value(up @ y @ down) - func.value(down @ y @ up)
+                              for up, down in steps]) / (2 * h)
+            assert np.max(np.abs(grad[0] - diffs)) < 1e-7 * max(1.0, f[0]), func
 
 
 class Null(Constraint):
@@ -660,16 +652,41 @@ def test_lockstep_bfgs_search(pick, seed, restarts):
     assert evaluate(func, v @ x @ v.conj().T, validate=False) == res.f_value
     assert res.diagnostics.converged and res.diagnostics.optimizer_iterations > 0
 
-    objective = functools.partial(_orbit_objective, func, x)
-    k = n * n - 1
-    starts = np.r_[np.zeros((1, k)), np.random.default_rng(seed).standard_normal((2, k))]
-    together = _lockstep_bfgs(objective, starts)
-    alone = _lockstep_bfgs(objective, starts[:1])
+    objective = functools.partial(_orbit_objective, func)
+    rng = np.random.default_rng(seed)
+    starts = np.array([np.eye(n, dtype=complex), haar_su(n, rng), haar_su(n, rng)])
+    together = _lockstep_bfgs(objective, x, starts)
+    alone = _lockstep_bfgs(objective, x, starts[:1])
     assert together[0][0].tobytes() == alone[0][0].tobytes()
     assert (together[1][0], together[2][0], together[3][0]) == tuple(a[0] for a in alone[1:])
     one = conj_min_time(func, 1.0, gate, restarts=1, seed=seed)
-    assert one.conjugator.tobytes() == expm(from_coords(alone[0][0], n)).tobytes()
+    assert one.conjugator.tobytes() == alone[0][0].tobytes()
     assert one.diagnostics.optimizer_iterations == alone[2][0]
+
+
+# (seed, tree, j) where BFGS on the chart V = exp(sum_i c_i T_i) stopped above
+# Nelder-Mead from the same starts, e.g. 2.1795 against 2.1483 at (0, 5, 1)
+# and 1.1929 against 1.0406 at (1, 0, 2): the gate is the j-th haar_su(3)
+# from default_rng(100 + seed), the tree smooth_trees(3, seed)[tree]
+CHART_BFGS_ABOVE_NELDER_MEAD = [(0, 5, 1), (1, 0, 2), (1, 1, 2), (1, 4, 2)]
+
+
+def test_frame_bfgs_reaches_nelder_mead_where_the_chart_search_did_not():
+    results = []
+    for seed, pick, j in CHART_BFGS_ABOVE_NELDER_MEAD:
+        rng = np.random.default_rng(100 + seed)
+        gate = [haar_su(3, rng) for _ in range(j + 1)][j]
+        func = smooth_trees(3, seed)[pick]
+        res = conj_min_time(func, 1.0, gate, restarts=8, seed=j)
+        ref = conj_min_time(Opaque(func), 1.0, gate, restarts=8, seed=j)
+        assert res.f_value <= ref.f_value + 1e-9, (seed, pick, j)
+        results.append(res)
+    # the longest search's V, the product of its accepted steps, is its own
+    # array (a view would keep all eight restarts' V alive) and special unitary
+    v = max(results, key=lambda res: res.diagnostics.optimizer_iterations).conjugator
+    assert v.base is None
+    assert np.max(np.abs(v.conj().T @ v - np.eye(3))) <= 1e-12
+    assert abs(np.linalg.det(v) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

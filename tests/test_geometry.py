@@ -441,6 +441,14 @@ def test_kink_margin_and_generic_probe_validate_their_input(case):
         call()
 
 
+@pytest.mark.parametrize("entry", [evaluate, kink_margin, geodesic_vector_check])
+def test_empty_matrix_is_a_dimension_mismatch(entry):
+    # a 0 x 0 point raised numpy's untyped "zero-size array to reduction
+    # operation maximum" ValueError
+    with pytest.raises(DimensionMismatchError, match=r"non-empty matrix, got shape \(0, 0\)"):
+        entry(Schatten(p=2), np.zeros((0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # invariance <-> geodesic cross-check (small version; full run in acceptance)
 # ---------------------------------------------------------------------------
