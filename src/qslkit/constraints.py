@@ -144,9 +144,9 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
-def _require_exponent(p: float, what: str) -> None:
-    if not (p > 0.0) or isinf(p):
-        raise InvalidParameterError(f"{what} exponent must be finite and > 0, got {p}")
+def _require_finite_positive(value: float, name: str) -> None:
+    if not 0.0 < value < inf:
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
 
 
 def require_dim(func, n: int) -> None:
@@ -168,11 +168,11 @@ class Constraint:
     ``orbit_minimizer(x)`` is a special unitary V at which F(V X V†) is least
     over the adjoint orbit of X, or None when the class knows no closed form:
     the identity for an invariant F, which is constant on the orbit, and each
-    class's own minimizer otherwise.  ``orbit_covector(stack)`` is the slope
-    of F along the orbit through each Y of an (m, n, n) stack: one matrix G
-    per Y with d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for
-    every W in su(n), or None where F may kink on the orbit (max and min of a
-    varying child, the state-anchored atoms, custom constraints); it is zero
+    class's own minimizer otherwise.  ``orbit_slope(stack)`` is, in one pass,
+    ``values(stack)`` and F's slope along the orbit through each Y: one G per
+    Y with d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for every W
+    in su(n), or None for the G where F may kink on the orbit (max and min of
+    a varying child, the state-anchored atoms, custom constraints); G is zero
     for an invariant F.  A row's G does not depend on the other rows.
     ``gatetime.conj_min_time`` reads both.
 
@@ -192,8 +192,8 @@ class Constraint:
     def orbit_minimizer(self, x: np.ndarray) -> Optional[np.ndarray]:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
 
-    def orbit_covector(self, stack: np.ndarray) -> Optional[np.ndarray]:
-        return np.zeros_like(stack) if self.unitarily_invariant else None
+    def orbit_slope(self, stack: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        return self.values(stack), (np.zeros_like(stack) if self.unitarily_invariant else None)
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -336,7 +336,7 @@ class GroundShiftedMoment(_StateAnchored):
     kind = "ml"
 
     def __post_init__(self):
-        _require_exponent(self.p, "moment")
+        _require_finite_positive(self.p, "moment exponent")
         super().__post_init__()
 
     def values(self, stack) -> np.ndarray:
@@ -431,17 +431,17 @@ class Randers(Constraint):
     def dim(self) -> Optional[int]:
         return int(round(np.sqrt(self.metric.shape[0] + 1)))
 
-    def _coords_and_quad(self, stack) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates c of each point and its quadratic form c.M.c,
-        which may overflow to inf."""
+    def _terms(self, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinates c of each point, its norm sqrt(c.M.c) and F."""
         coords = basis_coords(stack)
         with np.errstate(over="ignore", invalid="ignore"):
-            return coords, (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+            quad = (coords[:, None, :] @ self.metric @ coords[:, :, None])[:, 0, 0]
+        _require_representable(quad, coords, "randers quadratic form")
+        norm = np.sqrt(quad)
+        return coords, norm, norm + _dots(self.oneform, coords)
 
     def values(self, stack) -> np.ndarray:
-        coords, quad = self._coords_and_quad(stack)
-        _require_representable(quad, coords, "randers quadratic form")
-        return np.sqrt(quad) + _dots(self.oneform, coords)
+        return self._terms(stack)[2]
 
     def spectral_values(self, phi, q) -> np.ndarray:
         # coords(X_b) = phi_b @ c with c[k, j] = Im((q† T_j q)_kk), since
@@ -454,15 +454,15 @@ class Randers(Constraint):
         # smooth everywhere except at the origin
         return float(np.linalg.norm(a))
 
-    def orbit_covector(self, stack) -> np.ndarray:
+    def orbit_slope(self, stack) -> tuple[np.ndarray, np.ndarray]:
         # dF = (M c / sqrt(c.M.c) + b) . dc, and dc_j = -Re tr(T_j dY); the
         # orbit of Y = 0 is the one point, where any G will do
-        c, quad = self._coords_and_quad(stack)
-        smooth = quad > 0.0
+        c, norm, f = self._terms(stack)
+        smooth = norm > 0.0
         grad = np.zeros_like(c)
-        grad[smooth] = ((self.metric @ c[smooth, :, None])[:, :, 0]
-                        / np.sqrt(quad[smooth])[:, None] + self.oneform)
-        return from_coords(grad, stack.shape[-1])
+        grad[smooth] = ((self.metric @ c[smooth, :, None])[:, :, 0] / norm[smooth, None]
+                        + self.oneform)
+        return f, from_coords(grad, stack.shape[-1])
 
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         n = len(x)
@@ -522,13 +522,20 @@ class _Combinator(Constraint):
             return None
         return found[0]
 
-    def orbit_covector(self, stack) -> Optional[np.ndarray]:
-        # the chain rule, row by row: G = dF/dF1 G1 + dF/dF2 G2
-        found = [c.orbit_covector(stack) for c in self.children]
-        if any(g is None for g in found):
-            return None
-        s1, s2 = self.slopes(stack)
-        return s1[:, None, None] * found[0] + s2[:, None, None] * found[1]
+    def orbit_slope(self, stack) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        if self.unitarily_invariant:  # one spectrum for the whole tree
+            return super().orbit_slope(stack)
+        (v1, g1), (v2, g2) = (c.orbit_slope(stack) for c in self.children)
+        f = self.join(v1, v2)
+        if g1 is None or g2 is None:
+            return f, None
+        # the chain rule, row by row: G = dF/dF1 G1 + dF/dF2 G2, each slope in
+        # scalar arithmetic as ``join`` combines; a child at 0 is at its least
+        # on the orbit, so it adds no slope
+        rows = f.tolist()
+        s1, s2 = (np.array([self.slope(vi, fi) if vi > 0.0 else 0.0
+                            for vi, fi in zip(v.tolist(), rows)]) for v in (v1, v2))
+        return f, s1[:, None, None] * g1 + s2[:, None, None] * g2
 
     def values(self, stack) -> np.ndarray:
         if self.unitarily_invariant:  # one spectrum for the whole tree
@@ -561,13 +568,12 @@ class Sum(_Combinator):
     def combine(self, v1, v2):
         return v1 + v2
 
-    def slopes(self, stack):
-        ones = np.ones(len(stack))
-        return ones, ones
+    def slope(self, v, f):
+        return 1.0
 
 
 class _Extremum(_Combinator):
-    orbit_covector = Constraint.orbit_covector  # kinks where the arms tie
+    orbit_slope = Constraint.orbit_slope  # kinks where the arms tie
 
     def kink_margin(self, a, w) -> float:
         # kinks where the arms tie
@@ -577,7 +583,7 @@ class _Extremum(_Combinator):
 
 class _Mean(_Combinator):
     def __post_init__(self):
-        _require_exponent(self.p, self.kind)
+        _require_finite_positive(self.p, f"{self.kind} exponent")
         super().__post_init__()
 
     def join(self, v1, v2) -> np.ndarray:
@@ -592,14 +598,6 @@ class _Mean(_Combinator):
         if self.lost(out, v1, v2).any():
             raise InvalidParameterError(f"{self.kind} exponent p = {self.p} {self.loss}")
         return out
-
-    def slopes(self, stack):
-        # per row, in scalar arithmetic as ``join`` combines; a child at 0 is
-        # at its least on the orbit, so it adds no slope
-        v1, v2 = (c.values(stack) for c in self.children)
-        f = self.join(v1, v2).tolist()
-        return tuple(np.array([self.slope(vi, fi) if vi > 0.0 else 0.0
-                               for vi, fi in zip(v.tolist(), f)]) for v in (v1, v2))
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import inf, isinf, pi
+from math import isinf, pi
 from typing import Optional
 
 import numpy as np
 
-from .constraints import require_dim
+from .constraints import _require_finite_positive, require_dim
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -46,6 +46,7 @@ from .linalg import (
     haar_su,
     principal_log,
     _as_rng,
+    _expm,
     _eigen_clusters,
 )
 
@@ -94,8 +95,7 @@ class SpeedLimitResult:
 
 def _require_kappa(kappa: float) -> float:
     kappa = float(kappa)
-    if not 0.0 < kappa < inf:
-        raise InvalidParameterError(f"kappa must be finite and > 0, got {kappa}")
+    _require_finite_positive(kappa, "kappa")
     return kappa
 
 
@@ -155,15 +155,15 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
     its own closed form; a tree takes the V its varying leaves share.
     Otherwise V is minimized from several starts, the identity and Haar draws
-    from ``seed``.  When F has an ``orbit_covector``, every restart runs BFGS
-    in a frame that moves with its V, all in lockstep on one stack
-    (``_lockstep_bfgs``).  Otherwise V is charted as exp(sum_i c_i T_i) over
-    the su basis, each draw at its principal logarithm's coordinates, and
+    from ``seed``.  When F's ``orbit_slope`` gives a covector at X, every
+    restart runs BFGS in a frame that moves with its V, all in lockstep on one
+    stack (``_lockstep_bfgs``).  Otherwise V is charted as exp(sum_i c_i T_i)
+    over the su basis, each draw at its principal logarithm's coordinates, and
     scipy's Nelder-Mead runs from each chart point in turn.  The lowest value
     wins, ties broken by start order (for Nelder-Mead first by the final chart
-    point), and ``f_value`` is F(V X V†) at the returned V, which reproduces
-    it bit for bit.  The identity start keeps the result at the plain branch
-    value or below, up to that re-evaluation's rounding.
+    point).  Either way ``f_value`` is F(V X V†) at the returned V, which
+    reproduces it bit for bit, and the identity start keeps a search's result
+    at the plain branch value or below, up to that rounding.
     """
     kappa = _require_kappa(kappa)
     if restarts < 1:
@@ -174,33 +174,24 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     require_dim(func, n)
     rng = _as_rng(seed)
     conjugator = func.orbit_minimizer(x)
-    if conjugator is not None:
-        f_value = func.value(conjugator @ x @ conjugator.conj().T)
-        return SpeedLimitResult(
-            time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
-            kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
-                                                 optimizer_iterations=0, converged=True))
-    draws = [haar_su(n, rng) for _ in range(restarts - 1)]
-    if func.orbit_covector(x[None]) is not None:
-        starts = np.array([np.eye(n, dtype=np.complex128)] + draws)
-        ends, values, nits, converged = _lockstep_bfgs(partial(_orbit_objective, func), x, starts)
-    else:
-        starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(v).value) for v in draws]
-        ends, values, nits, converged = _nelder_mead(func, x, starts)
-    best = min(range(restarts), key=lambda i: (values[i], i))
-    conjugator = ends[best].copy()  # its own array, not a view that keeps every restart's
+    nit, converged = 0, True
+    if conjugator is None:
+        draws = [haar_su(n, rng) for _ in range(restarts - 1)]
+        if func.orbit_slope(x[None])[1] is not None:
+            starts = np.array([np.eye(n, dtype=np.complex128)] + draws)
+            ends, values, nits, flags = _lockstep_bfgs(partial(_orbit_objective, func), x, starts)
+        else:
+            starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(v).value) for v in draws]
+            ends, values, nits, flags = _nelder_mead(func, x, starts)
+        best = min(range(restarts), key=lambda i: (values[i], i))
+        conjugator = ends[best].copy()  # its own array, not a view that keeps every restart's
+        nit, converged = int(nits[best]), bool(any(flags))
     f_value = func.value(conjugator @ x @ conjugator.conj().T)
     result = SpeedLimitResult(
-        time=f_value / kappa,
-        branch=branch,
-        conjugator=conjugator,
-        f_value=f_value,
-        kappa=kappa,
-        diagnostics=Diagnostics(branches_considered=1,
-                                optimizer_iterations=int(nits[best]),
-                                converged=bool(any(converged))),
-    )
-    if not result.diagnostics.converged:
+        time=f_value / kappa, branch=branch, conjugator=conjugator, f_value=f_value,
+        kappa=kappa, diagnostics=Diagnostics(branches_considered=1,
+                                             optimizer_iterations=nit, converged=converged))
+    if not converged:
         raise OptimizerDidNotConvergeError(
             f"no restart converged within {SEARCH_MAXITER} iterations; "
             f"best value so far {f_value:.17g}", best=result)
@@ -210,13 +201,12 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
 def _orbit_objective(func, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F at each Y of an (m, n, n) stack and its frame gradient, the slopes of
     t -> F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis, from one
-    ``values`` and one ``orbit_covector`` call.
+    ``orbit_slope`` call.
 
     With G the covector of Y, that slope is -Re tr(G [T_i, Y]), which is
     -Re tr(T_i (Y G - G Y)): the coordinates of Y G - G Y.
     """
-    f = func.values(y)  # first: it refuses the values the slopes would divide by
-    g = func.orbit_covector(y)
+    f, g = func.orbit_slope(y)
     return f, basis_coords(y @ g - g @ y)
 
 
@@ -256,7 +246,7 @@ def _lockstep_bfgs(objective, x: np.ndarray, starts: np.ndarray):
     while running.any():
         r = np.flatnonzero(running)
         w = step[r, None] * direction[r]
-        e = expm(from_coords(w, n))
+        e = _expm(from_coords(w, n))  # traceless anti-Hermitian by construction
         trial = e @ y[r] @ e.conj().swapaxes(-1, -2)
         ft, gt = objective(trial)
         ok = ft <= f[r] + ARMIJO_C1 * step[r] * slope[r]

@@ -95,6 +95,7 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    con._require_finite_positive(threshold, "threshold")  # else every verdict is one way
     con.require_dim(func, n)
     rng = _as_rng(seed)
     k = n * n - 1
@@ -254,6 +255,7 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
     one ``values`` call per chunk of at most STACK_ENTRIES entries, or of one
     X; one broadcast matmul forms the chunk's tangents [X, T_i].  A chunk
     that fails a check runs the loop, which raises the first error."""
+    con._require_finite_positive(threshold, "threshold")
     n = xs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         hs = step * norms

@@ -164,7 +164,11 @@ def expm(a) -> np.ndarray:
     The result is special unitary by construction: the eigenvalues of A are
     purely imaginary and sum to zero.
     """
-    a = _require_algebra(_as_square_stack(a))
+    return _expm(_require_algebra(_as_square_stack(a)))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``expm`` unchecked, for A already known to be traceless anti-Hermitian."""
     try:
         w, u = np.linalg.eigh(1j * a)
     except np.linalg.LinAlgError as exc:
@@ -428,7 +432,10 @@ def from_coords(coords, n: int) -> np.ndarray:
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}") from exc
 
 
 def haar_su(n: int, seed) -> np.ndarray:

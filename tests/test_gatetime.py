@@ -353,7 +353,7 @@ def test_conj_min_against_grid_oracle():
 
 class Opaque(Constraint):
     """Forwards ``value`` and ``dim`` and nothing else, so its
-    ``orbit_minimizer`` and ``orbit_covector`` are the base's None and
+    ``orbit_minimizer`` and ``orbit_slope`` covector are the base's None and
     conj_min_time runs its Nelder-Mead search: the reference path."""
 
     def __init__(self, func):
@@ -422,8 +422,9 @@ def test_conj_min_closed_form_validates_and_draws_nothing():
     assert rng.bit_generator.state == state
     with pytest.raises(InvalidParameterError, match="restarts"):
         conj_min_time(func, 1.0, gate, restarts=0)
-    with pytest.raises(ValueError):
-        conj_min_time(func, 1.0, gate, seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidParameterError, match=f"^seed must be .* got {seed}$"):
+            conj_min_time(func, 1.0, gate, seed=seed)
     # both Randers closed forms too: SU(2) with no oneform, and a scalar metric
     code = ("import sys, numpy as np, qslkit as q; "
             "q.conj_min_time(q.Schatten(p=2), 1.0, q.haar_su(2, 1)); "
@@ -528,7 +529,7 @@ def test_conj_min_bfgs_matches_nelder_mead_on_randers_su3():
     # form, against the Nelder-Mead reference from the same starts
     func = Randers(metric=np.diag(np.linspace(1.0, 0.25, 8)), oneform=np.zeros(8))
     x = np.zeros((3, 3), dtype=complex)
-    assert func.orbit_minimizer(x) is None and func.orbit_covector(x[None]) is not None
+    assert func.orbit_minimizer(x) is None and func.orbit_slope(x[None])[1] is not None
     for seed in range(6):
         gate = haar_su(3, seed=500 + seed)
         res = conj_min_time(func, 1.0, gate, restarts=4, seed=seed)
@@ -610,14 +611,48 @@ def test_stacked_orbit_covector_matches_one_row_calls(n):
     trees = smooth_trees(n, seed=n) + [PowerMean(p=0.5, children=(leaf, Null())),
                                        GeometricMean(p=2, children=(Null(), leaf))]
     for func in trees:
-        got = func.orbit_covector(stack)
+        got = func.orbit_slope(stack)[1]
         assert got.shape == stack.shape
         for i in range(len(stack)):
-            assert got[i].tobytes() == func.orbit_covector(stack[i:i + 1])[0].tobytes(), func
+            assert got[i].tobytes() == func.orbit_slope(stack[i:i + 1])[1][0].tobytes(), func
         assert not got[0].any()
     for extremum in (Max, Min):
-        assert extremum(children=(Schatten(p=2), leaf)).orbit_covector(stack) is None
-        assert not extremum(children=(Schatten(p=2), SpectralRange())).orbit_covector(stack).any()
+        assert extremum(children=(Schatten(p=2), leaf)).orbit_slope(stack)[1] is None
+        assert not extremum(children=(Schatten(p=2), SpectralRange())).orbit_slope(stack)[1].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_slope_values_have_the_bits_of_values(n):
+    # F from the one orbit pass is ``values``, bit for bit, on every tree
+    rng = np.random.default_rng(80 + n)
+    stack = np.stack([np.zeros((n, n), dtype=complex),
+                      *(scale * random_algebra_element(n, rng) for scale in (1e-6, 1.0, 40.0))])
+    for func in smooth_trees(n, seed=n) + (catalog(3) if n == 3 else []):
+        assert func.orbit_slope(stack)[0].tobytes() == func.values(stack).tobytes(), func
+
+
+def randers_leaves(func):
+    return isinstance(func, Randers) + sum(randers_leaves(c) for c in func.children)
+
+
+def test_orbit_objective_takes_each_randers_leafs_coordinates_once(monkeypatch):
+    # one ``orbit_slope`` pass: a mean reads its children's values and
+    # covectors from the same call, and a leaf's covector reuses its value's
+    # coordinates (the parent took 3 calls on GeometricMean(leaf, Schatten(inf)))
+    import qslkit.constraints as con
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return basis_coords(a)
+
+    monkeypatch.setattr(con, "basis_coords", counted)
+    rng = np.random.default_rng(4)
+    y = np.stack([random_algebra_element(3, rng) for _ in range(8)])
+    for func in smooth_trees(3, 1):
+        calls.clear()
+        _orbit_objective(func, y)
+        assert calls == [8] * randers_leaves(func), func
 
 
 @settings(max_examples=6, deadline=None)

@@ -243,6 +243,20 @@ def test_residual_is_the_fundamental_tensor_on_the_orbit_tangent(n):
             assert np.max(np.abs(residuals - tensor)) < 1e-6 * evaluate(func, x) ** 2, func
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_residual_is_minus_f_times_the_frame_gradient(n):
+    # the slope of F**2 along [X, T_i] is -2 F times the orbit slope of F
+    # along T_i, so each residual is -F(X) times the search's exact gradient
+    from qslkit.gatetime import _orbit_objective
+    from test_gatetime import smooth_trees
+    rng = np.random.default_rng(50 + n)
+    for func in smooth_trees(n, seed=n):
+        x = random_algebra_element(n, rng)
+        f, grad = _orbit_objective(func, x[None])
+        residuals = geodesic_vector_check(func, x).residuals
+        assert np.max(np.abs(residuals + f[0] * grad[0])) < 1e-6 * f[0] ** 2, func
+
+
 def test_randers_drift_fails_at_generic_points():
     rng = np.random.default_rng(22)
     func = small_randers(drift=0.2)
@@ -334,6 +348,18 @@ def test_branch_sweep_with_no_branch_raises():
 def test_negative_branch_sweep_is_rejected():
     with pytest.raises(InvalidParameterError, match="branch_sweep must be >= 0, got -1"):
         gate_geodesic_check(Schatten(p=2), haar_su(2, seed=77), branch_sweep=-1)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("check", [
+    lambda t: check_ad_invariance(small_randers(), 2, samples=2, threshold=t),
+    lambda t: geodesic_vector_check(Schatten(p=2), random_algebra_element(2, 3), threshold=t),
+    lambda t: gate_geodesic_check(Schatten(p=2), haar_su(2, seed=77), threshold=t),
+], ids=["check_ad_invariance", "geodesic_vector_check", "gate_geodesic_check"])
+def test_checks_refuse_a_threshold_that_is_not_finite_and_positive(check, threshold):
+    # below or at 0, or NaN, every verdict would read False; at inf, True
+    with pytest.raises(InvalidParameterError, match="threshold must be finite and > 0"):
+        check(threshold)
 
 
 # ---------------------------------------------------------------------------

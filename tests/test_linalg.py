@@ -508,6 +508,12 @@ def test_haar_deterministic():
     assert np.array_equal(haar_su(3, seed=123), haar_su(3, seed=123))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_haar_refuses_a_seed_numpy_refuses(seed):
+    with pytest.raises(InvalidParameterError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        haar_su(2, seed)
+
+
 def test_haar_invariants():
     for seed in range(5):
         u = haar_su(4, seed=seed)
