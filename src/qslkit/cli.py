@@ -114,7 +114,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("geodesic", _cmd_geodesic, "per-gate constant-drive optimality check",
                 gate=True, constraint=True)
-    p.add_argument("--step", type=_positive_finite("step"), default=geometry.FD_STEP)
+    p.add_argument("--step", type=_positive_finite("step"), default=geometry.FD_STEP,
+                   help="relative finite-difference step, used where the constraint has no "
+                        "orbit covector (ml, mt, max/min of a varying child); the other "
+                        "residuals are exact")
     p.add_argument("--threshold", type=_positive_finite("threshold"), default=None)
     p.add_argument("--branch-sweep", type=_at_least("branch_sweep", 0), default=0)
 

@@ -80,8 +80,8 @@ STATE_ATOL = 1e-12
 
 # Most matrix entries (128 KB of complex128) a sampled check puts in one
 # stacked ``values`` call, so its memory stays bounded whatever its sample
-# count.  The geodesic check fills a call with whole logarithm branches: X
-# and its 2(n**2 - 1) stencil points, 2(n**2 - 1) + 1 points each (16
+# count.  The geodesic check of an F with no orbit covector fills a call with
+# the stencils of whole logarithm branches, 2(n**2 - 1) points each (17
 # branches at n = 4); from n = 9 one branch exceeds the bound and takes a
 # call of its own.
 STACK_ENTRIES = 8192
@@ -174,7 +174,8 @@ class Constraint:
     in su(n), or None for the G where F may kink on the orbit (max and min of
     a varying child, the state-anchored atoms, custom constraints); G is zero
     for an invariant F.  A row's G does not depend on the other rows.
-    ``gatetime.conj_min_time`` reads both.
+    ``frame_gradient`` turns G into the orbit slopes that
+    ``gatetime.conj_min_time`` and the geodesic checks in ``geometry`` read.
 
     A subclass defines F through ``values`` or, for a custom constraint,
     through ``value`` alone; each defaults to the other.  A
@@ -683,6 +684,18 @@ def evaluate(func, a, validate: bool = True) -> float:
         a = require_algebra_element(a)
         require_dim(func, a.shape[0])
     return float(func.value(a))
+
+
+def frame_gradient(func, stack: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """F at each Y of an (m, n, n) stack and its frame gradient, the slopes of
+    t -> F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis, one row per Y,
+    from one ``orbit_slope`` call; the gradient is None where F has no covector.
+
+    With G the covector of Y, that slope is -Re tr(G [T_i, Y]), which is
+    -Re tr(T_i (Y G - G Y)): the coordinates of Y G - G Y.
+    """
+    f, g = func.orbit_slope(stack)
+    return f, None if g is None else basis_coords(stack @ g - g @ stack)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import _require_finite_positive, require_dim
+from .constraints import _require_finite_positive, frame_gradient, require_dim
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -41,7 +41,6 @@ from .linalg import (
     UNITARY_ATOL,
     LogBranch,
     basis_coords,
-    expm,
     from_coords,
     haar_su,
     principal_log,
@@ -179,7 +178,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
         draws = [haar_su(n, rng) for _ in range(restarts - 1)]
         if func.orbit_slope(x[None])[1] is not None:
             starts = np.array([np.eye(n, dtype=np.complex128)] + draws)
-            ends, values, nits, flags = _lockstep_bfgs(partial(_orbit_objective, func), x, starts)
+            ends, values, nits, flags = _lockstep_bfgs(partial(frame_gradient, func), x, starts)
         else:
             starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(v).value) for v in draws]
             ends, values, nits, flags = _nelder_mead(func, x, starts)
@@ -196,18 +195,6 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
             f"no restart converged within {SEARCH_MAXITER} iterations; "
             f"best value so far {f_value:.17g}", best=result)
     return result
-
-
-def _orbit_objective(func, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F at each Y of an (m, n, n) stack and its frame gradient, the slopes of
-    t -> F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis, from one
-    ``orbit_slope`` call.
-
-    With G the covector of Y, that slope is -Re tr(G [T_i, Y]), which is
-    -Re tr(T_i (Y G - G Y)): the coordinates of Y G - G Y.
-    """
-    f, g = func.orbit_slope(y)
-    return f, basis_coords(y @ g - g @ y)
 
 
 def _lockstep_bfgs(objective, x: np.ndarray, starts: np.ndarray):
@@ -289,7 +276,7 @@ def _nelder_mead(func, x: np.ndarray, starts: list[np.ndarray]):
     n = len(x)
 
     def objective(coords: np.ndarray) -> float:
-        v = expm(from_coords(coords, n))
+        v = _expm(from_coords(coords, n))  # traceless anti-Hermitian by construction
         return func.value(v @ x @ v.conj().T)
 
     results = sorted((scipy.optimize.minimize(
@@ -297,7 +284,7 @@ def _nelder_mead(func, x: np.ndarray, starts: list[np.ndarray]):
         options={"xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL,
                  "maxiter": SEARCH_MAXITER, "maxfev": 2 * SEARCH_MAXITER})
         for start in starts), key=lambda res: (float(res.fun), tuple(res.x.tolist())))
-    return ([expm(from_coords(res.x, n)) for res in results],
+    return ([_expm(from_coords(res.x, n)) for res in results],
             [float(res.fun) for res in results],
             [res.nit for res in results], [bool(res.success) for res in results])
 

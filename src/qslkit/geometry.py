@@ -8,9 +8,12 @@ constant drive?  That holds exactly when the log of the gate is a geodesic
 vector of the induced right-invariant Finsler structure, i.e. when the
 fundamental tensor g of F satisfies g_X(X, [X, Z]) = 0 for every basis
 direction Z.  By Euler's theorem on the degree-2 function F**2, that residual
-is half the slope of F**2 along the orbit tangent [X, Z], taken as a central
-first difference; the tensor is a central second difference of F**2.  So the
-checks are only meaningful at generic probes away from spectral kinks.
+is half the slope of F**2 along the orbit tangent [X, Z]: exactly -F(X) times
+the slope of F along the adjoint orbit where F has an orbit covector (every
+invariant tree, Randers, and sums and means of such), and otherwise a
+central first difference.  The tensor is a central second difference of
+F**2, so it, and the differenced residuals, are only meaningful at generic
+probes away from spectral kinks.
 """
 
 from __future__ import annotations
@@ -159,10 +162,9 @@ def _require_step(step: float) -> None:
         raise InvalidParameterError(f"step must be positive, got {step}")
 
 
-def _require_stencil(step: float, h: float, stencil: np.ndarray) -> None:
-    """Refuse a step that is not positive, a step h = step * |base|_F that
-    underflows, or a stencil at h that overflows."""
-    _require_step(step)
+def _require_stencil(h: float, stencil: np.ndarray) -> None:
+    """Refuse an absolute step h (a positive relative step times |base|_F)
+    that underflows, or a stencil at h that overflows."""
     if h < MIN_FD_STEP:
         raise StepUnderflowError(f"finite-difference step underflow: h = {h:.3e}")
     if not np.isfinite(stencil).all():
@@ -201,7 +203,7 @@ def fundamental_tensor_estimate(func, probe: TensorProbe, u, v) -> tuple[float, 
         stencil = np.stack([corner for step in (h, h / 2.0)
                             for side in (base + step * u, base - step * u)
                             for corner in (side + step * v, side - step * v)])
-    _require_stencil(probe.step, h, stencil)
+    _require_stencil(h, stencil)
     fsq = _squares(func, stencil)
     steps = np.array([h, h / 2.0])
     upp, upm, ump, umm = fsq.reshape(2, 4).T
@@ -223,7 +225,9 @@ def fundamental_tensor(func, probe: TensorProbe, u, v) -> float:
 
 @dataclass(frozen=True)
 class GeodesicReport:
-    """Residuals g_X(X, [X, T_i]) over the su basis, normalized by F(X)**2."""
+    """Residuals g_X(X, [X, T_i]) over the su basis, and their largest modulus
+    over F(X)**2.  The residuals are exact (+0.0 for an invariant F) where F
+    has an orbit covector; otherwise central differences at ``step``."""
 
     residuals: np.ndarray
     normalized_max: float
@@ -240,9 +244,13 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
     candidate time-optimal drive.
 
     F**2 is homogeneous of degree 2, so by Euler's theorem g_X(X, D) is half
-    the slope of F**2 at X along D: for D_i = [X, T_i] the residual is
-    (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h relative to |X|_F.
-    F is evaluated at X and at the 2(n**2 - 1) stencil points in one call."""
+    the slope of F**2 at X along D.  For D_i = [X, T_i] that slope is -2 F(X)
+    times the slope of F along the orbit t -> e^{t T_i} X e^{-t T_i}, so
+    where F has an orbit covector the residual is exactly -F(X) times the
+    frame gradient (``constraints.frame_gradient``), and 0 for an invariant F.
+    Otherwise (max and min of a varying child, ``ml``, ``mt``, custom F) it is
+    the central difference (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h
+    ``step`` times |X|_F; ``step`` must be positive either way."""
     x = as_square_matrix(x)
     return _geodesic_reports(func, x[None], np.array([np.linalg.norm(x)]), step, threshold)[0]
 
@@ -251,66 +259,65 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
                       threshold: float) -> list[GeodesicReport]:
     """``geodesic_vector_check`` at each X of the (m, n, n) stack ``xs``, whose
     Frobenius norms are ``norms``: the reports, and the first error, of a loop
-    over xs.  Whole X, 2(n**2 - 1) + 1 points each (X and its stencil), share
-    one ``values`` call per chunk of at most STACK_ENTRIES entries, or of one
-    X; one broadcast matmul forms the chunk's tangents [X, T_i].  A chunk
-    that fails a check runs the loop, which raises the first error."""
+    over xs.  One ``frame_gradient`` pass gives F(X) at every X and, where F
+    has a covector, every residual; a stack that fails a check runs the loop,
+    which raises the first error.  At each X the loop checks X, then
+    F(X) > 0, then the step, as the stacked pass does."""
     con._require_finite_positive(threshold, "threshold")
-    n = xs.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        hs = step * norms
-    # at least one X per chunk
-    per_call = max(1, con.STACK_ENTRIES // ((2 * (n * n - 1) + 1) * n * n))
+    try:
+        return _stack_reports(func, xs, norms, step, threshold)
+    except Exception:  # the loop below raises the first error, in X order
+        pass
     reports = []
-    for start in range(0, len(xs), per_call):
-        x, h = xs[start:start + per_call], hs[start:start + per_call]
-        try:
-            _require_algebra(x)
-            con.require_dim(func, n)
-            basis = su_basis(n)
-            with np.errstate(over="ignore", invalid="ignore"):
-                hd = h[:, None, None, None] * (x[:, None] @ basis - basis @ x[:, None])
-                points = np.concatenate([x[:, None], x[:, None] + hd, x[:, None] - hd], axis=1)
-            _require_stencil(step, float(h.min()), points)
-            f = func.values(points.reshape(-1, n, n)).reshape(len(x), -1)
-            fsq = con._scalar_powers(f[:, 1:].ravel(), 2).reshape(len(x), -1)
-            fine = (f[:, 0] > 0.0).all()
-        except Exception:  # the loop below raises the first error, in X order
-            fine = False
-        reports += (_reports(f[:, 0].tolist(), h, fsq, step, threshold) if fine
-                    else _loop_reports(func, x, h, step, threshold))
-    return reports
-
-
-def _loop_reports(func, xs, hs, step, threshold) -> list[GeodesicReport]:
-    """The loop over X that ``_geodesic_reports`` batches: its reports, or
-    its first error.  At each X it checks X, then F(X) > 0, then builds the
-    stencil at h, checks the step and evaluates the stencil."""
-    reports = []
-    for x, h in zip(xs, hs):
+    for x, norm in zip(xs, norms):
         x = require_algebra_element(x)
         con.require_dim(func, len(x))
         fx = func.value(x)
         if not fx > 0.0:
             raise InvalidParameterError(f"geodesic check needs F(X) > 0, got {fx:.3e}")
-        basis = su_basis(len(x))
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = x @ basis - basis @ x
-            stencil = np.concatenate([x + h * d, x - h * d])
-        _require_stencil(step, h, stencil)
-        reports += _reports([fx], np.array([h]), _squares(func, stencil)[None], step, threshold)
+        reports += _stack_reports(func, x[None], norm[None], step, threshold)
     return reports
 
 
-def _reports(fx: list, h: np.ndarray, fsq: np.ndarray, step: float,
-             threshold: float) -> list[GeodesicReport]:
-    """The reports at some X from F(X), h and, in rows, F**2 at each X + h D_i
-    and then at each X - h D_i."""
-    residuals = np.subtract(*np.split(fsq, 2, axis=1)) / (4.0 * h[:, None])
-    peaks = np.max(np.abs(residuals), axis=1) / [v ** 2 for v in fx]
+def _stack_reports(func, xs, norms, step, threshold) -> list[GeodesicReport]:
+    """The reports at each X of a stack, or an error of the loop's checks,
+    not necessarily its first."""
+    _require_algebra(xs)
+    con.require_dim(func, xs.shape[1])
+    f, grad = con.frame_gradient(func, xs)
+    if not (f > 0.0).all():
+        raise InvalidParameterError("geodesic check needs F(X) > 0")
+    _require_step(step)
+    if grad is None:
+        residuals = _stencil_residuals(func, xs, norms, step)
+    else:
+        residuals = 0.0 - f[:, None] * grad  # 0.0 - makes an invariant F's residuals +0.0
+    peaks = np.max(np.abs(residuals), axis=1) / con._scalar_powers(f, 2)
     return [GeodesicReport(residuals=r.copy(), normalized_max=v, passes=v < threshold,
-                           threshold=threshold, step=step)  # a row of its own, not of the chunk
+                           threshold=threshold, step=step)  # a row of its own, not of the stack
             for r, v in zip(residuals, peaks.tolist())]
+
+
+def _stencil_residuals(func, xs, norms, step) -> np.ndarray:
+    """The central differences of F**2 along each X's tangents [X, T_i] at
+    h = step * |X|_F, in rows.  Whole stencils, 2(n**2 - 1) points each, share
+    one ``values`` call per chunk of at most STACK_ENTRIES entries, or of one
+    X; one broadcast matmul forms the chunk's tangents."""
+    n = xs.shape[1]
+    basis = su_basis(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = step * norms
+    per_call = max(1, con.STACK_ENTRIES // (2 * (n * n - 1) * n * n))
+    rows = []
+    for start in range(0, len(xs), per_call):
+        x, h = xs[start:start + per_call, None], hs[start:start + per_call]
+        with np.errstate(over="ignore", invalid="ignore"):
+            hd = h[:, None, None, None] * (x @ basis - basis @ x)
+            points = np.concatenate([x + hd, x - hd], axis=1)
+        _require_stencil(float(h.min()), points)
+        fsq = con._scalar_powers(func.values(points.reshape(-1, n, n)), 2).reshape(len(h), -1)
+        rows.append(np.subtract(*np.split(fsq, 2, axis=1)) / (4.0 * h[:, None]))
+    return np.concatenate(rows)
 
 
 def gate_geodesic_check(func, gate, step: float = FD_STEP,

@@ -16,6 +16,7 @@ import pytest
 
 from qslkit import (
     DimensionMismatchError,
+    EnergyUncertainty,
     GeometricMean,
     GroundShiftedMoment,
     InvalidParameterError,
@@ -111,9 +112,9 @@ def tensor_loop(func, base, u, v, step=FD_STEP, tol=GEODESIC_THRESHOLD):
 
 
 def geodesic_loop(func, gate, sweep):
-    """(normalized_max, residuals, shifts) of gate_geodesic_check: evaluate
-    at X +- h*D_i for each orbit tangent D_i = [X, T_i] and branch, the first
-    best branch."""
+    """(normalized_max, residuals, shifts) of gate_geodesic_check, the first
+    best branch: per branch, -F(X) times the frame gradient where F has a
+    covector, else evaluate at X +- h*D_i for each orbit tangent D_i = [X, T_i]."""
     branches = log_branches(gate, sweep)
     principal = principal_log(gate)
     if not any(np.array_equal(b.shifts, principal.shifts) for b in branches):
@@ -121,11 +122,15 @@ def geodesic_loop(func, gate, sweep):
     best = None
     for b in sorted(branches, key=lambda b: (b.frobenius, tuple(b.shifts.tolist()))):
         x = b.value
-        h = FD_STEP * float(np.linalg.norm(x))
-        d = [commutator(x, t) for t in su_basis(len(x))]
-        plus = np.array([evaluate(func, x + h * di, validate=False) ** 2 for di in d])
-        minus = np.array([evaluate(func, x - h * di, validate=False) ** 2 for di in d])
-        residuals = (plus - minus) / (4.0 * h)
+        f, grad = constraints.frame_gradient(func, x[None])
+        if grad is None:
+            h = FD_STEP * float(np.linalg.norm(x))
+            d = [commutator(x, t) for t in su_basis(len(x))]
+            plus = np.array([evaluate(func, x + h * di, validate=False) ** 2 for di in d])
+            minus = np.array([evaluate(func, x - h * di, validate=False) ** 2 for di in d])
+            residuals = (plus - minus) / (4.0 * h)
+        else:
+            residuals = 0.0 - f[0] * grad[0]
         normalized = float(np.max(np.abs(residuals)) / evaluate(func, x) ** 2)
         if best is None or normalized < best[0]:
             best = (normalized, residuals, tuple(b.shifts.tolist()))
@@ -194,7 +199,7 @@ def test_gate_geodesic_check_matches_the_per_direction_loop(n, sweep):
     for func in catalog(n) + [SpectrumNorm()]:
         rep = gate_geodesic_check(func, gate, branch_sweep=sweep)
         normalized, residuals, shifts = geodesic_loop(func, gate, sweep)
-        assert np.array_equal(rep.residuals, residuals), func
+        assert rep.residuals.tobytes() == residuals.tobytes(), func
         assert (rep.normalized_max, rep.branch_shifts) == (normalized, shifts)
 
 
@@ -218,8 +223,8 @@ def outcome(check, *args):
             rep.step, rep.threshold)
 
 
-# chunks of all branches (n = 2), three (n = 3 at 500 entries), 16 (n = 4),
-# six (n = 5) and one (n = 4 at 200).  Step 1e-13 underflows, and at 1e308 a
+# stencil chunks of all branches (n = 2), three (n = 3 at 500 entries), 17
+# (n = 4), six (n = 5) and one (n = 4 at 200).  Step 1e-13 underflows, and at 1e308 a
 # short branch's stencil stays finite and overflows F while a longer one's
 # overflows at once: the first error in branch order must win
 @pytest.mark.parametrize("n,entries", [(2, constraints.STACK_ENTRIES), (3, 500),
@@ -238,40 +243,54 @@ def test_gate_geodesic_check_matches_the_per_branch_loop(monkeypatch, n, entries
                     assert got == outcome(branch_loop, func, gate, sweep, step), (func, sweep, step)
 
 
-class CountedValues(constraints.Constraint):
-    """Wraps a constraint, recording the size of each ``values`` call."""
+class Counted(constraints.Constraint):
+    """Wraps a constraint, recording the name and size of each ``values`` and
+    ``orbit_slope`` call."""
 
     def __init__(self, inner):
-        self.inner, self.sizes = inner, []
+        self.inner, self.calls = inner, []
 
     @property
     def dim(self):
         return self.inner.dim
 
     def values(self, stack):
-        self.sizes.append(len(stack))
+        self.calls.append(("values", len(stack)))
         return self.inner.values(stack)
+
+    def orbit_slope(self, stack):
+        self.calls.append(("orbit_slope", len(stack)))
+        return self.inner.orbit_slope(stack)
 
 
 @pytest.mark.parametrize("func", catalog(4) + [SpectrumNorm()], ids=lambda f: type(f).__name__)
 def test_gate_geodesic_check_makes_one_values_call_per_chunk(func):
-    # F(X) rides in its branch's chunk: 2 * 15 + 1 points per branch at n = 4,
-    # 16 branches per call; no call of its own
+    # F(X) at every branch comes from one orbit_slope pass, which also gives
+    # every residual where F has a covector; otherwise the stencils, 2 * 15
+    # points per branch at n = 4, take one values call per 17 branches, and
+    # F is evaluated nowhere else
     gate = haar_su(4, 44)
     branches = len(linalg._eigen_clusters(gate).search_shifts(1)[0])
-    assert branches > 16
-    counted = CountedValues(func)
+    assert branches > 17
+    stencil = func.orbit_slope(np.zeros((1, 4, 4), dtype=complex))[1] is None
+    counted = Counted(func)
     args = (gate, FD_STEP, GEODESIC_THRESHOLD, 1)
     assert outcome(gate_geodesic_check, counted, *args) == outcome(gate_geodesic_check, func, *args)
-    assert counted.sizes == [31 * min(16, branches - s) for s in range(0, branches, 16)]
-    counted.sizes.clear()
+    assert counted.calls == [("orbit_slope", branches)] + [
+        ("values", 30 * min(17, branches - s)) for s in range(0, branches, 17) if stencil]
+    counted.calls.clear()
     geodesic_vector_check(counted, principal_log(gate).value)
-    assert counted.sizes == [31]
+    assert counted.calls == [("orbit_slope", 1)] + [("values", 30)] * stencil
+    assert stencil == (type(func).__name__ in ("GroundShiftedMoment", "EnergyUncertainty",
+                                               "PowerMean", "SpectrumNorm"))
 
 
 # the loop's checks in its order: X, F(X) > 0, then the step; a 1 x 1 X
-# fails before any su(1) basis is asked for
+# fails before any su(1) basis is asked for.  Only a stencil, which mt takes
+# and Schatten does not, has an h to underflow or overflow
 X2 = np.diag([1j, -1j])
+X2_OFF = np.array([[0, 1j], [1j, 0]])  # mt(e_0) = 1
+MT2 = EnergyUncertainty(psi=basis_state(2))
 
 
 @pytest.mark.parametrize("func,x,step,error", [
@@ -288,9 +307,9 @@ X2 = np.diag([1j, -1j])
     (GroundShiftedMoment(p=1, psi=basis_state(3)), X2, FD_STEP,
      (DimensionMismatchError, "constraint expects dimension 3, got dimension 2")),
     (Schatten(p=2), X2, 0.0, (InvalidParameterError, "step must be positive, got 0.0")),
-    (Schatten(p=2), X2, 1e-13,
+    (MT2, X2_OFF, 1e-13,
      (StepUnderflowError, "finite-difference step underflow: h = 1.414e-13")),
-    (Schatten(p=2), X2, 1e308,
+    (MT2, X2_OFF, 1e308,
      (InvalidParameterError, "finite-difference step overflow: h = 1.414e+308")),
 ], ids=["1x1-trace", "1x1-zero", "zero-before-step", "hermitian", "not-square",
         "dim", "step-0", "underflow", "overflow"])
@@ -298,20 +317,31 @@ def test_geodesic_vector_check_refuses_invalid_input(func, x, step, error):
     assert outcome(geodesic_vector_check, func, x, step) == error
 
 
+@pytest.mark.parametrize("func", [Schatten(p=2), catalog(2)[8]], ids=["schatten", "randers"])
+def test_a_covector_residual_takes_no_step(func):
+    # a step that would underflow or overflow a stencil changes only the
+    # report's step field where F has a covector
+    ref = outcome(geodesic_vector_check, func, X2_OFF, FD_STEP)
+    for step in (1e-13, 1e308):
+        assert outcome(geodesic_vector_check, func, X2_OFF, step) == ref[:4] + (step,) + ref[5:]
+
+
 def test_gate_geodesic_check_memory_stays_within_its_chunks():
-    # 489 branches at n = 4, sweep 4: their stencils together take 3.9 MB,
-    # one chunk 128 KB; the branches and reports themselves take about 1 MB
+    # 489 branches at n = 4, sweep 4: their stencils together would take
+    # 3.9 MB, one chunk 128 KB; the branches and reports themselves take about
+    # 1 MB.  mt takes the stencils; Schatten, which has a covector, none
     gate = haar_su(4, 44)
     branches = len(linalg._eigen_clusters(gate).search_shifts(4)[0])
     stencils = branches * 31 * 16 * np.dtype(np.complex128).itemsize
-    tracemalloc.start()
-    try:
-        gate_geodesic_check(Schatten(p=2), gate, branch_sweep=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert branches == 489
-    assert peak < stencils / 2
+    for func in (Schatten(p=2), EnergyUncertainty(psi=basis_state(4))):
+        tracemalloc.start()
+        try:
+            gate_geodesic_check(func, gate, branch_sweep=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stencils / 2, func
 
 
 def per_child(func, stack):
