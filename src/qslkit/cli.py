@@ -31,7 +31,8 @@ import numpy as np
 from . import gates, geometry, jsonio
 from .constraints import EnergyUncertainty, GroundShiftedMoment, SpectralRange, basis_state
 from .errors import ConfigError, NoConvergenceError, OptimizerDidNotConvergeError, QslError
-from .gatetime import Trajectory, action, analytic_bounds, conj_min_time, gate_time
+from .gatetime import (DEFAULT_RESTARTS, Trajectory, action, analytic_bounds, conj_min_time,
+                       gate_time)
 from .linalg import UNITARY_ATOL, log_branches
 
 TABLE_SIG = ".10g"
@@ -100,7 +101,7 @@ def _parser() -> argparse.ArgumentParser:
     p = command("conjmin", _cmd_conjmin, "minimize the time over conjugations",
                 gate=True, constraint=True)
     p.add_argument("--kappa", **kappa)
-    p.add_argument("--restarts", type=_at_least("restarts", 1), default=16)
+    p.add_argument("--restarts", type=_at_least("restarts", 1), default=DEFAULT_RESTARTS)
 
     p = command("action", _cmd_action, "integrate the constraint along a trajectory",
                 constraint=True)

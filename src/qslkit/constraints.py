@@ -74,13 +74,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, InvariantViolationError
 from .linalg import (basis_coords, from_coords, random_algebra_element, require_algebra_element,
-                     su_basis, _from_eigen)
+                     su_basis, _as_rng, _from_eigen, _require_count)
 
 STATE_ATOL = 1e-12
 
 # Most matrix entries (128 KB of complex128) a sampled check puts in one
 # stacked ``values`` call, so its memory stays bounded whatever its sample
-# count.  The geodesic check of an F with no orbit covector fills a call with
+# count.  The geodesic check of an F with no frame gradient fills a call with
 # the stencils of whole logarithm branches, 2(n**2 - 1) points each (17
 # branches at n = 4); from n = 9 one branch exceeds the bound and takes a
 # call of its own.
@@ -169,13 +169,13 @@ class Constraint:
     over the adjoint orbit of X, or None when the class knows no closed form:
     the identity for an invariant F, which is constant on the orbit, and each
     class's own minimizer otherwise.  ``orbit_slope(stack)`` is, in one pass,
-    ``values(stack)`` and F's slope along the orbit through each Y: one G per
-    Y with d/dt F(e^{t W} Y e^{-t W}) = -Re tr(G [W, Y]) at t = 0 for every W
-    in su(n), or None for the G where F may kink on the orbit (max and min of
-    a varying child, the state-anchored atoms, custom constraints); G is zero
-    for an invariant F.  A row's G does not depend on the other rows.
-    ``frame_gradient`` turns G into the orbit slopes that
-    ``gatetime.conj_min_time`` and the geodesic checks in ``geometry`` read.
+    ``values(stack)`` and F's frame gradient at each Y: an (m, n**2 - 1) row
+    of the slopes d/dt F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis
+    T_i, or None where F may kink on the orbit (max and min of a varying
+    child, the state-anchored atoms, custom constraints); the rows are zero
+    for an invariant F.  A row does not depend on the other rows.
+    ``gatetime.conj_min_time`` descends along it and the geodesic checks in
+    ``geometry`` read their residuals off it.
 
     A subclass defines F through ``values`` or, for a custom constraint,
     through ``value`` alone; each defaults to the other.  A
@@ -194,7 +194,8 @@ class Constraint:
         return np.eye(len(x), dtype=np.complex128) if self.unitarily_invariant else None
 
     def orbit_slope(self, stack: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return self.values(stack), (np.zeros_like(stack) if self.unitarily_invariant else None)
+        k = stack.shape[-1] ** 2 - 1
+        return self.values(stack), (np.zeros((len(stack), k)) if self.unitarily_invariant else None)
 
     def kink_margin(self, a: np.ndarray, w: np.ndarray) -> float:
         """Distance from A to the nearest point where F is not smooth.
@@ -456,14 +457,16 @@ class Randers(Constraint):
         return float(np.linalg.norm(a))
 
     def orbit_slope(self, stack) -> tuple[np.ndarray, np.ndarray]:
-        # dF = (M c / sqrt(c.M.c) + b) . dc, and dc_j = -Re tr(T_j dY); the
-        # orbit of Y = 0 is the one point, where any G will do
+        # dF = (M c / sqrt(c.M.c) + b) . dc = -Re tr(G dY), G = from_coords of
+        # that gradient, and dY = [T_i, Y], so the slope is the coordinates of
+        # Y G - G Y; the orbit of Y = 0 is the one point, where any G will do
         c, norm, f = self._terms(stack)
         smooth = norm > 0.0
         grad = np.zeros_like(c)
         grad[smooth] = ((self.metric @ c[smooth, :, None])[:, :, 0] / norm[smooth, None]
                         + self.oneform)
-        return f, from_coords(grad, stack.shape[-1])
+        g = from_coords(grad, stack.shape[-1])
+        return f, basis_coords(stack @ g - g @ stack)
 
     def orbit_minimizer(self, x) -> Optional[np.ndarray]:
         n = len(x)
@@ -530,13 +533,13 @@ class _Combinator(Constraint):
         f = self.join(v1, v2)
         if g1 is None or g2 is None:
             return f, None
-        # the chain rule, row by row: G = dF/dF1 G1 + dF/dF2 G2, each slope in
+        # the chain rule, row by row: dF/dF1 g1 + dF/dF2 g2, each slope in
         # scalar arithmetic as ``join`` combines; a child at 0 is at its least
         # on the orbit, so it adds no slope
         rows = f.tolist()
         s1, s2 = (np.array([self.slope(vi, fi) if vi > 0.0 else 0.0
                             for vi, fi in zip(v.tolist(), rows)]) for v in (v1, v2))
-        return f, s1[:, None, None] * g1 + s2[:, None, None] * g2
+        return f, s1[:, None] * g1 + s2[:, None] * g2
 
     def values(self, stack) -> np.ndarray:
         if self.unitarily_invariant:  # one spectrum for the whole tree
@@ -686,18 +689,6 @@ def evaluate(func, a, validate: bool = True) -> float:
     return float(func.value(a))
 
 
-def frame_gradient(func, stack: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """F at each Y of an (m, n, n) stack and its frame gradient, the slopes of
-    t -> F(e^{t T_i} Y e^{-t T_i}) at t = 0 over the su basis, one row per Y,
-    from one ``orbit_slope`` call; the gradient is None where F has no covector.
-
-    With G the covector of Y, that slope is -Re tr(G [T_i, Y]), which is
-    -Re tr(T_i (Y G - G Y)): the coordinates of Y G - G Y.
-    """
-    f, g = func.orbit_slope(stack)
-    return f, None if g is None else basis_coords(stack @ g - g @ stack)
-
-
 @dataclass(frozen=True)
 class HomogeneityReport:
     max_relative_deviation: float
@@ -708,9 +699,8 @@ class HomogeneityReport:
 def check_homogeneity(func, n: int, trials: int = 100, seed: int = 0) -> HomogeneityReport:
     """Sample |F(lambda A) - lambda F(A)| / (lambda F(A) + eps) over random
     algebra elements and scales lambda in (0, 10]."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    _require_count(trials, "trials", 1)
+    rng = _as_rng(seed)
     worst = 0.0
     per_stack = max(1, STACK_ENTRIES // (n * n))
     for start in range(0, trials, per_stack):
@@ -722,7 +712,8 @@ def check_homogeneity(func, n: int, trials: int = 100, seed: int = 0) -> Homogen
         scaled = func.values(lam[:, None, None] * a)
         direct = lam * func.values(a)
         worst = max(worst, float(np.fmax.reduce(np.abs(scaled - direct) / (direct + 1e-300))))
-    return HomogeneityReport(max_relative_deviation=worst, trials=trials, seed=seed)
+    return HomogeneityReport(max_relative_deviation=worst, trials=trials,
+                             seed=int(seed) if isinstance(seed, (int, np.integer)) else -1)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ class IdentityGateError(QslError):
 
 
 class OptimizerDidNotConvergeError(QslError):
-    """No restart of the derivative-free search converged.
+    """No restart of the search converged.
 
     ``best`` holds the best result found so far (may be ``None``).
     """

@@ -20,13 +20,12 @@ that means: inf loses, and NaN is confirmed with ``values`` like a near-tie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import isinf, pi
 from typing import Optional
 
 import numpy as np
 
-from .constraints import _require_finite_positive, frame_gradient, require_dim
+from .constraints import _require_finite_positive, require_dim
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -47,11 +46,12 @@ from .linalg import (
     _as_rng,
     _expm,
     _eigen_clusters,
+    _require_count,
 )
 
 # Search defaults, for the F whose conjugation minimum has no closed form.
-# Trees with an orbit covector (Randers and invariant leaves joined by sums
-# and means) run the lockstep BFGS on the exact frame gradient, with the
+# Trees whose ``orbit_slope`` gives a frame gradient (Randers and invariant
+# leaves joined by sums and means) run the lockstep BFGS on it, with the
 # Armijo constant ARMIJO_C1, stopped at gradient inf-norm GRADIENT_TOL; the
 # others (max/min, states that differ, custom F) may kink, so they run
 # Nelder-Mead to simplex diameter SIMPLEX_TOL.  Either search stops at
@@ -154,7 +154,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     leaf on SU(2) with no oneform, or with a scalar metric on any SU(n), has
     its own closed form; a tree takes the V its varying leaves share.
     Otherwise V is minimized from several starts, the identity and Haar draws
-    from ``seed``.  When F's ``orbit_slope`` gives a covector at X, every
+    from ``seed``.  When F's ``orbit_slope`` gives a frame gradient at X, every
     restart runs BFGS in a frame that moves with its V, all in lockstep on one
     stack (``_lockstep_bfgs``).  Otherwise V is charted as exp(sum_i c_i T_i)
     over the su basis, each draw at its principal logarithm's coordinates, and
@@ -165,8 +165,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
     at the plain branch value or below, up to that rounding.
     """
     kappa = _require_kappa(kappa)
-    if restarts < 1:
-        raise InvalidParameterError(f"restarts must be >= 1, got {restarts}")
+    _require_count(restarts, "restarts", 1)
     branch = principal_log(gate, atol=atol)
     x = branch.value
     n = len(x)
@@ -178,7 +177,7 @@ def conj_min_time(func, kappa: float, gate, restarts: int = DEFAULT_RESTARTS,
         draws = [haar_su(n, rng) for _ in range(restarts - 1)]
         if func.orbit_slope(x[None])[1] is not None:
             starts = np.array([np.eye(n, dtype=np.complex128)] + draws)
-            ends, values, nits, flags = _lockstep_bfgs(partial(frame_gradient, func), x, starts)
+            ends, values, nits, flags = _lockstep_bfgs(func.orbit_slope, x, starts)
         else:
             starts = [np.zeros(n * n - 1)] + [basis_coords(principal_log(v).value) for v in draws]
             ends, values, nits, flags = _nelder_mead(func, x, starts)
@@ -206,17 +205,17 @@ def _lockstep_bfgs(objective, x: np.ndarray, starts: np.ndarray):
     Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
     ch. 4 and 8).  It holds V and Y = V X V†; a step W, coordinates over the
     su basis, tries Y' = E Y E† for E = exp(W), and accepting it sets V to E V
-    and Y to Y'.  ``objective`` maps an (m, n, n) stack of Y to their values
-    and frame gradients, and each pass makes one call, at one trial step of
-    every restart still running.  A restart backtracks along its quasi-Newton
-    direction until the step decreases F sufficiently (Armijo, ARMIJO_C1),
-    shrinking the step by quadratic interpolation, and updates its inverse
-    Hessian unless the step's curvature s.y is not positive (Nocedal and
-    Wright, Numerical Optimization, ch. 3 and 6).  Each iteration's first
-    trial step is scipy's: min(1, 2.02 (f_k - f_{k-1}) / slope), which is
-    min(1, 1.01/|g|) at the start.  A restart stops converged at gradient
-    inf-norm GRADIENT_TOL, and unconverged at SEARCH_MAXITER iterations or when
-    no step that moves its V decreases F enough.
+    and Y to Y'.  ``objective``, F's ``orbit_slope``, maps an (m, n, n) stack
+    of Y to their values and frame gradients, and each pass makes one call, at
+    one trial step of every restart still running.  A restart backtracks along
+    its quasi-Newton direction until the step decreases F sufficiently
+    (Armijo, ARMIJO_C1), shrinking the step by quadratic interpolation, and
+    updates its inverse Hessian unless the step's curvature s.y is not positive
+    (Nocedal and Wright, Numerical Optimization, ch. 3 and 6).  Each
+    iteration's first trial step is scipy's: min(1, 2.02 (f_k - f_{k-1}) /
+    slope), which is min(1, 1.01/|g|) at the start.  A restart stops converged
+    at gradient inf-norm GRADIENT_TOL, and unconverged at SEARCH_MAXITER
+    iterations or when no step that moves its V decreases F enough.
     """
     n = len(x)
     v = starts.copy()

@@ -9,11 +9,11 @@ vector of the induced right-invariant Finsler structure, i.e. when the
 fundamental tensor g of F satisfies g_X(X, [X, Z]) = 0 for every basis
 direction Z.  By Euler's theorem on the degree-2 function F**2, that residual
 is half the slope of F**2 along the orbit tangent [X, Z]: exactly -F(X) times
-the slope of F along the adjoint orbit where F has an orbit covector (every
-invariant tree, Randers, and sums and means of such), and otherwise a
-central first difference.  The tensor is a central second difference of
-F**2, so it, and the differenced residuals, are only meaningful at generic
-probes away from spectral kinks.
+the slope of F along the adjoint orbit, the frame gradient, where
+``orbit_slope`` gives it (every invariant tree, Randers, and sums and means
+of such), and otherwise a central first difference.  The tensor is a central
+second difference of F**2, so it, and the differenced residuals, are only
+meaningful at generic probes away from spectral kinks.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .linalg import (
     _eigen_clusters,
     _haar_from_normals,
     _require_algebra,
+    _require_count,
     as_square_matrix,
     from_coords,
     is_identity,
@@ -96,8 +97,7 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
     seed.  F is evaluated on stacks of samples; the first stack holds one
     sample, where an F that is not a norm almost always fails F(-A) = F(A).
     """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    _require_count(samples, "samples", 1)
     con._require_finite_positive(threshold, "threshold")  # else every verdict is one way
     con.require_dim(func, n)
     rng = _as_rng(seed)
@@ -227,7 +227,7 @@ def fundamental_tensor(func, probe: TensorProbe, u, v) -> float:
 class GeodesicReport:
     """Residuals g_X(X, [X, T_i]) over the su basis, and their largest modulus
     over F(X)**2.  The residuals are exact (+0.0 for an invariant F) where F
-    has an orbit covector; otherwise central differences at ``step``."""
+    has a frame gradient; otherwise central differences at ``step``."""
 
     residuals: np.ndarray
     normalized_max: float
@@ -246,8 +246,8 @@ def geodesic_vector_check(func, x, step: float = FD_STEP,
     F**2 is homogeneous of degree 2, so by Euler's theorem g_X(X, D) is half
     the slope of F**2 at X along D.  For D_i = [X, T_i] that slope is -2 F(X)
     times the slope of F along the orbit t -> e^{t T_i} X e^{-t T_i}, so
-    where F has an orbit covector the residual is exactly -F(X) times the
-    frame gradient (``constraints.frame_gradient``), and 0 for an invariant F.
+    where F's ``orbit_slope`` gives that frame gradient the residual is
+    exactly -F(X) times it, and 0 for an invariant F.
     Otherwise (max and min of a varying child, ``ml``, ``mt``, custom F) it is
     the central difference (F**2(X + h D_i) - F**2(X - h D_i)) / (4h), with h
     ``step`` times |X|_F; ``step`` must be positive either way."""
@@ -259,9 +259,9 @@ def _geodesic_reports(func, xs: np.ndarray, norms: np.ndarray, step: float,
                       threshold: float) -> list[GeodesicReport]:
     """``geodesic_vector_check`` at each X of the (m, n, n) stack ``xs``, whose
     Frobenius norms are ``norms``: the reports, and the first error, of a loop
-    over xs.  One ``frame_gradient`` pass gives F(X) at every X and, where F
-    has a covector, every residual; a stack that fails a check runs the loop,
-    which raises the first error.  At each X the loop checks X, then
+    over xs.  One ``orbit_slope`` pass gives F(X) at every X and, where F
+    has a frame gradient, every residual; a stack that fails a check runs the
+    loop, which raises the first error.  At each X the loop checks X, then
     F(X) > 0, then the step, as the stacked pass does."""
     con._require_finite_positive(threshold, "threshold")
     try:
@@ -284,7 +284,7 @@ def _stack_reports(func, xs, norms, step, threshold) -> list[GeodesicReport]:
     not necessarily its first."""
     _require_algebra(xs)
     con.require_dim(func, xs.shape[1])
-    f, grad = con.frame_gradient(func, xs)
+    f, grad = func.orbit_slope(xs)
     if not (f > 0.0).all():
         raise InvalidParameterError("geodesic check needs F(X) > 0")
     _require_step(step)
@@ -335,8 +335,7 @@ def gate_geodesic_check(func, gate, step: float = FD_STEP,
     clusters = _eigen_clusters(gate, atol=atol)
     if is_identity(gate):
         raise IdentityGateError("geodesic check is undefined for the identity gate")
-    if branch_sweep < 0:
-        raise InvalidParameterError(f"branch_sweep must be >= 0, got {branch_sweep}")
+    _require_count(branch_sweep, "branch_sweep", 0)
     rows, values, norms = clusters.branches(clusters.search_shifts(branch_sweep)[0])
     reports = _geodesic_reports(func, values, norms, step, threshold)
     best = min(range(len(reports)), key=lambda i: reports[i].normalized_max)

@@ -92,6 +92,14 @@ def _require_algebra(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_count(value, name: str, low: int) -> None:
+    """Refuse a count that is not a Python or numpy integer >= low."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    if value < low:
+        raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
+
+
 def is_identity(u) -> bool:
     u = as_square_matrix(u)
     return float(np.max(np.abs(u - np.eye(u.shape[0])))) <= UNITARY_ATOL
@@ -262,8 +270,7 @@ class _EigenClusters:
         MAX_BRANCH_ROWS rows raises InvalidParameterError before anything is
         allocated.
         """
-        if n_max < 0:
-            raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
+        _require_count(n_max, "n_max", 0)
         k = self.n_clusters
         rows = (2 * n_max + 1) ** (k - 1)
         if rows > MAX_BRANCH_ROWS:

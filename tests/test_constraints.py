@@ -34,6 +34,7 @@ from qslkit import (
     haar_su,
     random_algebra_element,
 )
+from qslkit.constraints import HomogeneityReport
 from qslkit.geometry import INVARIANCE_THRESHOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,6 +132,10 @@ def test_catalog_homogeneity(n):
 def test_homogeneity_norm_tight():
     rep = check_homogeneity(Schatten(p=2), 2, trials=100, seed=0)
     assert rep.max_relative_deviation < 1e-12
+    # a Generator draws the same stream, and its seed is reported as -1
+    from_generator = check_homogeneity(Schatten(p=2), 2, trials=100,
+                                       seed=np.random.default_rng(0))
+    assert from_generator == HomogeneityReport(rep.max_relative_deviation, 100, -1)
 
 
 def test_homogeneity_ground_moment():
@@ -271,9 +276,10 @@ def test_orbit_minimizer_is_a_fact_of_each_class():
 
 
 def test_orbit_covector_marks_trees_a_gradient_search_may_take():
-    # Randers and invariant leaves joined by sums and means have one, zero
-    # when the tree is invariant; max and min kink where their arms tie, and
-    # ml, mt and custom constraints have none
+    # Randers and invariant leaves joined by sums and means have a frame
+    # gradient, one row of n**2 - 1 slopes per point, zero when the tree is
+    # invariant; max and min kink where their arms tie, and ml, mt and custom
+    # constraints have none
     y = random_algebra_element(3, np.random.default_rng(5))[None]
 
     def covector(func, stack=y):
@@ -284,7 +290,7 @@ def test_orbit_covector_marks_trees_a_gradient_search_may_take():
         "schatten", "op_shifted", "randers", "sum", "max", "min", "geomean"]
     for func in catalog(3):
         if func.unitarily_invariant:
-            assert np.array_equal(covector(func), np.zeros((1, 3, 3))), func.kind
+            assert np.array_equal(covector(func), np.zeros((1, 8))), func.kind
     assert found["powmean"] is None  # powmean(s2, mt)
     leaf = randers_pair(3, drift=0.3)
     g = covector(leaf)

@@ -43,7 +43,7 @@ from qslkit import (
     random_algebra_element,
     su_basis,
 )
-from qslkit.constraints import Constraint, frame_gradient
+from qslkit.constraints import Constraint
 from qslkit.errors import QslError
 from qslkit.gatetime import Diagnostics, _lockstep_bfgs
 from qslkit.linalg import expm
@@ -603,14 +603,21 @@ def test_frame_gradient_matches_central_differences(n):
     conjugators = [np.eye(n)] + [expm(from_coords(c, n)) for c in (rng.standard_normal(k), near)]
     h = 1e-5
     steps = [(expm(h * t), expm(-h * t)) for t in su_basis(n)]
-    for func in smooth_trees(n, seed=n):
+    trees = smooth_trees(n, seed=n)
+    other, leaf = trees[3].children
+    # a sum of two leaves, whose chain rule scales rows, and an invariant tree,
+    # whose slopes are exactly 0.0
+    invariant = Max(children=(Schatten(p=2), SpectralRange()))
+    for func in trees + [Sum(children=(leaf, other)), invariant]:
         x = principal_log(haar_su(n, rng)).value
         for v in conjugators:
             y = v @ x @ v.conj().T
-            f, grad = frame_gradient(func, y[None])
+            f, grad = func.orbit_slope(y[None])
             diffs = np.array([func.value(up @ y @ down) - func.value(down @ y @ up)
                               for up, down in steps]) / (2 * h)
             assert np.max(np.abs(grad[0] - diffs)) < 1e-7 * max(1.0, f[0]), func
+            if func is invariant:
+                assert grad.tobytes() == np.zeros((1, n * n - 1)).tobytes()
 
 
 class Null(Constraint):
@@ -638,7 +645,7 @@ def test_stacked_orbit_covector_matches_one_row_calls(n):
                                        GeometricMean(p=2, children=(Null(), leaf))]
     for func in trees:
         got = func.orbit_slope(stack)[1]
-        assert got.shape == stack.shape
+        assert got.shape == (len(stack), n * n - 1)
         for i in range(len(stack)):
             assert got[i].tobytes() == func.orbit_slope(stack[i:i + 1])[1][0].tobytes(), func
         assert not got[0].any()
@@ -662,10 +669,10 @@ def randers_leaves(func):
 
 
 def test_orbit_objective_takes_each_randers_leafs_coordinates_once(monkeypatch):
-    # one ``orbit_slope`` pass: a mean reads its children's values and
-    # covectors from the same call, and a leaf's covector reuses its value's
-    # coordinates (3 calls on GeometricMean(leaf, Schatten(inf)) before); the
-    # last call takes the coordinates of Y G - G Y
+    # one ``orbit_slope`` pass: a mean reads its children's values and frame
+    # gradients from the same call, and a leaf's gradient reuses its value's
+    # coordinates (3 calls on GeometricMean(leaf, Schatten(inf)) before), so
+    # each leaf takes two: its point's coordinates and those of Y G - G Y
     import qslkit.constraints as con
     calls = []
 
@@ -678,17 +685,17 @@ def test_orbit_objective_takes_each_randers_leafs_coordinates_once(monkeypatch):
     y = np.stack([random_algebra_element(3, rng) for _ in range(8)])
     for func in smooth_trees(3, 1):
         calls.clear()
-        frame_gradient(func, y)
-        assert calls == [8] * (randers_leaves(func) + 1), func
+        func.orbit_slope(y)
+        assert calls == [8] * (2 * randers_leaves(func)), func
 
 
 # Hypothesis derandomizes a property test from its source text, so
-# test_lockstep_bfgs_search still names the frame gradient as it did in
-# gatetime and keeps drawing the same examples.  Under the new name it draws
-# pick=0, seed=82, restarts=2, where the BFGS ends at a local minimum,
-# 0.7789, above Nelder-Mead's 0.4183 from the same starts, with the same bits
-# as before frame_gradient moved (a FOUND line in CHANGES.md).
-_orbit_objective = frame_gradient
+# test_lockstep_bfgs_search names its objective ``_orbit_objective`` and keeps
+# drawing the same examples.  Under another name it may draw pick=0, seed=82,
+# restarts=2, where the BFGS ends at a local minimum, 0.7789, above
+# Nelder-Mead's 0.4183 from the same starts (a FOUND line in CHANGES.md).
+def _orbit_objective(func, stack):
+    return func.orbit_slope(stack)
 
 
 @settings(max_examples=6, deadline=None)

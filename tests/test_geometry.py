@@ -36,7 +36,6 @@ from qslkit import (
     sample_generic_probe,
     su_basis,
 )
-from qslkit.constraints import frame_gradient
 from qslkit.gates import orthogonalizer
 from qslkit.geometry import CELL_ALL_GATES, GENERIC_MARGIN, classification_line
 
@@ -256,7 +255,7 @@ def test_residual_is_minus_f_times_the_frame_gradient(n):
                  Max(children=(Schatten(p=1), SpectralRange()))]
     for func in smooth_trees(n, seed=n) + invariant:
         x = random_algebra_element(n, rng)
-        f, grad = frame_gradient(func, x[None])
+        f, grad = func.orbit_slope(x[None])
         rep = geodesic_vector_check(func, x)
         assert rep.residuals.tobytes() == (0.0 - f[0] * grad[0]).tobytes(), func
         assert rep.normalized_max == np.max(np.abs(rep.residuals)) / f[0] ** 2

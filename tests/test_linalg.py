@@ -15,11 +15,17 @@ from qslkit import (
     InvalidParameterError,
     InvariantViolationError,
     NotNormalError,
+    Schatten,
     basis_coords,
+    check_ad_invariance,
+    check_homogeneity,
     commutator,
+    conj_min_time,
     eig_normal,
     expm,
     from_coords,
+    gate_geodesic_check,
+    gate_time,
     haar_su,
     log_branches,
     principal_log,
@@ -510,8 +516,41 @@ def test_haar_deterministic():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
 def test_haar_refuses_a_seed_numpy_refuses(seed):
-    with pytest.raises(InvalidParameterError, match=f"seed must be an integer >= 0, got {seed!r}"):
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(InvalidParameterError, match=message):
         haar_su(2, seed)
+    with pytest.raises(InvalidParameterError, match=message):
+        check_homogeneity(Schatten(p=2), 2, seed=seed)
+
+
+# (entry point, its count parameter, the least count) for each count it takes
+COUNT_ENTRIES = {
+    "gate_time": ("n_max", 0, lambda u, v: gate_time(Schatten(p=2), 1.0, u, n_max=v)),
+    "log_branches": ("n_max", 0, lambda u, v: log_branches(u, v)),
+    "gate_geodesic_check": ("branch_sweep", 0,
+                            lambda u, v: gate_geodesic_check(Schatten(p=2), u, branch_sweep=v)),
+    "check_ad_invariance": ("samples", 1, lambda u, v: check_ad_invariance(Schatten(p=2), 3,
+                                                                           samples=v)),
+    "check_homogeneity": ("trials", 1, lambda u, v: check_homogeneity(Schatten(p=2), 3,
+                                                                      trials=v)),
+    # a closed-form tree, which runs no search
+    "conj_min_time": ("restarts", 1, lambda u, v: conj_min_time(Schatten(p=2), 1.0, u,
+                                                                restarts=v)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_counts_are_integers_at_or_above_their_least(entry):
+    # one rule: a count below its least, or one that is not an integer, raises
+    # InvalidParameterError; numpy integers pass
+    name, low, call = COUNT_ENTRIES[entry]
+    u = haar_su(3, seed=21)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+        call(u, low - 1)
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} must be an integer >= {low}, got {low + 0.5}$"):
+        call(u, low + 0.5)
+    call(u, np.int64(low))
 
 
 def test_haar_invariants():

@@ -122,7 +122,7 @@ def geodesic_loop(func, gate, sweep):
     best = None
     for b in sorted(branches, key=lambda b: (b.frobenius, tuple(b.shifts.tolist()))):
         x = b.value
-        f, grad = constraints.frame_gradient(func, x[None])
+        f, grad = func.orbit_slope(x[None])
         if grad is None:
             h = FD_STEP * float(np.linalg.norm(x))
             d = [commutator(x, t) for t in su_basis(len(x))]
