@@ -23,9 +23,9 @@ Combinators (all preserve degree-1 homogeneity)
 -----------------------------------------------
 Sum, Max, Min            pointwise on two constraints.
 PowerMean(p)             (F1**p + F2**p)**(1/p).
-GeometricMean(p)         (F1**p * F2**p)**(1/(2p)); the naive product of two
-                         degree-1 functionals would be degree 2, so the
-                         exponent halves it back.
+GeometricMean(p)         (F1**p * F2**p)**(1/(2p)) = sqrt(F1 * F2) for every
+                         p; the naive product of two degree-1 functionals
+                         would be degree 2, so the exponent halves it back.
 
 Every constraint is a ``Constraint``: the base holds the defaults (no
 ``children``, ``dim`` None for any N, ``unitarily_invariant`` False,
@@ -44,10 +44,13 @@ its children's values read off that one spectrum.
 A stack of m gives the bits of m stacks of one, and the base's ``value(a)``
 is ``values`` on a stack of one.  A custom constraint may
 define ``value`` alone instead; the base's ``values`` then calls it on each
-point.  Where F takes a power of a scalar, ``values`` takes it point by point
-in scalar arithmetic, since numpy's array power rounds differently.  A power
-that overflows, or in Schatten and ``ml`` underflows to 0 from a nonzero
-value, raises InvalidParameterError naming its exponent.  The
+point.  Where an atom takes a power of a scalar, ``values`` takes it point by
+point in scalar arithmetic, since numpy's array power rounds differently.  A
+power that overflows, or in Schatten and ``ml`` underflows to 0 from a
+nonzero value, raises InvalidParameterError naming its exponent.  A
+combinator joins its children's arrays in closed form, the means with no
+power of a child, and raises InvalidParameterError naming itself where the
+result is not finite.  The
 sampled checks and the finite-difference stencils in ``geometry``, the
 homogeneity check and ``gatetime.action`` evaluate F this way.
 
@@ -100,7 +103,9 @@ def require_state(psi) -> np.ndarray:
 
 def basis_state(n: int, k: int = 0) -> np.ndarray:
     """Computational basis state |k> in dimension n (n >= 1, 0 <= k < n)."""
-    if not 0 <= k < n:
+    _require_count(n, "n", 1)
+    _require_count(k, "k", 0)
+    if k >= n:
         raise InvalidParameterError(f"basis state needs 0 <= k < n, got k = {k}, n = {n}")
     psi = np.zeros(n, dtype=np.complex128)
     psi[k] = 1.0
@@ -494,8 +499,8 @@ class Randers(Constraint):
 # ---------------------------------------------------------------------------
 
 class _Combinator(Constraint):
-    """Two children joined pointwise by the subclass's ``combine(F1, F2)``;
-    ``join`` is the combine ``values`` takes, which a mean checks."""
+    """Two children joined pointwise by the subclass's array ``combine(F1, F2)``;
+    ``join``, which ``values`` takes, refuses a result that is not finite."""
 
     def __post_init__(self):
         children = tuple(self.children)
@@ -533,12 +538,10 @@ class _Combinator(Constraint):
         f = self.join(v1, v2)
         if g1 is None or g2 is None:
             return f, None
-        # the chain rule, row by row: dF/dF1 g1 + dF/dF2 g2, each slope in
-        # scalar arithmetic as ``join`` combines; a child at 0 is at its least
+        # the chain rule: dF/dF1 g1 + dF/dF2 g2; a child at 0 is at its least
         # on the orbit, so it adds no slope
-        rows = f.tolist()
-        s1, s2 = (np.array([self.slope(vi, fi) if vi > 0.0 else 0.0
-                            for vi, fi in zip(v.tolist(), rows)]) for v in (v1, v2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s1, s2 = (np.where(v > 0.0, self.slope(v, f), 0.0) for v in (v1, v2))
         return f, s1[:, None] * g1 + s2[:, None] * g2
 
     def values(self, stack) -> np.ndarray:
@@ -550,7 +553,16 @@ class _Combinator(Constraint):
         return self.join(*(c.from_spectrum(w) for c in self.children))
 
     def join(self, v1, v2) -> np.ndarray:
-        return self.combine(v1, v2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.combine(v1, v2)
+        if not np.isfinite(out).all():
+            raise InvalidParameterError(f"{self.named} overflows a float")
+        return out
+
+    @property
+    def named(self) -> str:
+        """The combinator as its overflow error names it."""
+        return self.kind
 
     def spectral_values(self, phi, q) -> np.ndarray:
         return self.combine(*(c.spectral_values(phi, q) for c in self.children))
@@ -590,18 +602,9 @@ class _Mean(_Combinator):
         _require_finite_positive(self.p, f"{self.kind} exponent")
         super().__post_init__()
 
-    def join(self, v1, v2) -> np.ndarray:
-        # combine on Python floats: scalar powers, as _scalar_powers takes them
-        try:
-            out = np.array([self.combine(x, y) for x, y in zip(v1.tolist(), v2.tolist())],
-                           dtype=float)
-        except OverflowError:
-            out = np.array([inf])
-        if not np.isfinite(out).all():  # a geomean product overflows without an OverflowError
-            raise InvalidParameterError(f"{self.kind} exponent p = {self.p} overflows a float")
-        if self.lost(out, v1, v2).any():
-            raise InvalidParameterError(f"{self.kind} exponent p = {self.p} {self.loss}")
-        return out
+    @property
+    def named(self) -> str:
+        return f"{self.kind} exponent p = {self.p}"
 
     def kink_margin(self, a, w) -> float:
         # F**p kinks where F vanishes
@@ -633,38 +636,32 @@ class PowerMean(_Mean):
     p: float
     children: tuple
     kind = "powmean"
-    loss = "underflows a float to 0 from a nonzero value"
 
     def combine(self, v1, v2):
-        return (v1 ** self.p + v2 ** self.p) ** (1.0 / self.p)
+        # M (1 + (m/M)**p)**(1/p) for M = max and m = min: no power of a child
+        # itself, which over- or underflows where the mean does not; the
+        # ratio is 1 at a tie and 0 where both are 0, so the mean is 0 there
+        big, small = np.maximum(v1, v2), np.minimum(v1, v2)
+        ratio = np.divide(small, big, out=np.where(big > 0.0, 1.0, 0.0), where=small < big)
+        return big * (1.0 + ratio ** self.p) ** (1.0 / self.p)
 
     def slope(self, v, f):
         return (v / f) ** (self.p - 1.0)
 
-    def lost(self, out, v1, v2) -> np.ndarray:
-        return (out == 0.0) & ((v1 != 0.0) | (v2 != 0.0))
-
 
 @dataclass(frozen=True)
 class GeometricMean(_Mean):
-    """(F1**p * F2**p)**(1/(2p)): the degree-1 geometric combination."""
+    """sqrt(F1 * F2): the degree-1 geometric combination, which ``p`` does not change."""
 
     p: float
     children: tuple
     kind = "geomean"
-    loss = "loses sqrt(F1 * F2) to float rounding"
 
     def combine(self, v1, v2):
-        return (v1 ** self.p * v2 ** self.p) ** (1.0 / (2.0 * self.p))
+        return np.sqrt(v1) * np.sqrt(v2)
 
     def slope(self, v, f):
-        return 0.5 * f / v  # F = sqrt(F1 F2) for every p
-
-    def lost(self, out, v1, v2) -> np.ndarray:
-        # the mean is sqrt(F1 * F2) for every p, but F**p underflows to 0 at
-        # a large p and rounds to 1 at a tiny one
-        exact = np.sqrt(v1) * np.sqrt(v2)
-        return np.abs(out - exact) > 1e-9 * exact
+        return 0.5 * f / v
 
 
 KINDS = {cls.kind: cls for cls in (Schatten, SpectralRange, GroundShiftedMoment,
@@ -699,7 +696,9 @@ class HomogeneityReport:
 def check_homogeneity(func, n: int, trials: int = 100, seed: int = 0) -> HomogeneityReport:
     """Sample |F(lambda A) - lambda F(A)| / (lambda F(A) + eps) over random
     algebra elements and scales lambda in (0, 10]."""
+    _require_count(n, "n", 2)
     _require_count(trials, "trials", 1)
+    require_dim(func, n)
     rng = _as_rng(seed)
     worst = 0.0
     per_stack = max(1, STACK_ENTRIES // (n * n))

@@ -11,12 +11,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .jsonio import load_matrix
-from .linalg import UNITARY_ATOL, require_special_unitary
+from .linalg import UNITARY_ATOL, _require_count, require_special_unitary
 
 
 def identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+    _require_count(n, "n", 1)
     return np.eye(n, dtype=np.complex128)
 
 
@@ -27,8 +26,7 @@ def orthogonalizer(theta: float, n: int) -> np.ndarray:
     [exp(i theta), 0]]; the remaining n-2 dimensions are untouched.  The
     block has determinant one, so the whole gate is special unitary.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
+    _require_count(n, "n", 2)
     if not np.isfinite(theta):
         raise InvalidParameterError(f"theta must be finite, got {theta}")
     u = np.eye(n, dtype=np.complex128)
@@ -46,8 +44,7 @@ def qft(n: int) -> np.ndarray:
     The unitary DFT has determinant of modulus one but not necessarily 1;
     a global phase det**(-1/n) projects it into SU(n).
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
+    _require_count(n, "n", 2)
     j = np.arange(n)
     f = np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
     return f / np.linalg.det(f) ** (1.0 / n)

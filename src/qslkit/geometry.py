@@ -97,6 +97,7 @@ def check_ad_invariance(func, n: int, samples: int = 200, seed: int = 0,
     seed.  F is evaluated on stacks of samples; the first stack holds one
     sample, where an F that is not a norm almost always fails F(-A) = F(A).
     """
+    _require_count(n, "n", 2)
     _require_count(samples, "samples", 1)
     con._require_finite_positive(threshold, "threshold")  # else every verdict is one way
     con.require_dim(func, n)
@@ -315,7 +316,7 @@ def _stencil_residuals(func, xs, norms, step) -> np.ndarray:
             hd = h[:, None, None, None] * (x @ basis - basis @ x)
             points = np.concatenate([x + hd, x - hd], axis=1)
         _require_stencil(float(h.min()), points)
-        fsq = con._scalar_powers(func.values(points.reshape(-1, n, n)), 2).reshape(len(h), -1)
+        fsq = _squares(func, points.reshape(-1, n, n)).reshape(len(h), -1)
         rows.append(np.subtract(*np.split(fsq, 2, axis=1)) / (4.0 * h[:, None]))
     return np.concatenate(rows)
 
@@ -363,6 +364,7 @@ def kink_margin(func, a) -> float:
 def sample_generic_probe(func, n: int, rng) -> np.ndarray:
     """Random algebra element of Frobenius norm 2 at which the constraint is
     smooth enough for finite differencing (kink margin above GENERIC_MARGIN)."""
+    _require_count(n, "n", 2)
     rng = _as_rng(rng)
     for _ in range(PROBE_TRIES):
         a = random_algebra_element(n, rng)

@@ -387,8 +387,7 @@ def su_basis(n: int) -> np.ndarray:
     symmetric then antisymmetric off-diagonal pairs (row-major), followed by
     the diagonal members.
     """
-    if n < 2:
-        raise InvalidParameterError(f"su(n) basis needs n >= 2, got {n}")
+    _require_count(n, "n", 2)
     mats = []
     for j in range(n):
         for k in range(j + 1, n):
@@ -453,8 +452,7 @@ def haar_su(n: int, seed) -> np.ndarray:
     factor Haar on U(n), and a global phase det**(-1/n) projects to SU(n).
     ``seed`` may also be a numpy Generator to draw from an existing stream.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
+    _require_count(n, "n", 2)
     return _haar_from_normals(_as_rng(seed).standard_normal((1, 2, n, n)))[0]
 
 
@@ -473,4 +471,5 @@ def _haar_from_normals(g: np.ndarray) -> np.ndarray:
 
 def random_algebra_element(n: int, seed) -> np.ndarray:
     """Random su(n) element with standard normal coordinates."""
+    _require_count(n, "n", 2)
     return from_coords(_as_rng(seed).standard_normal(n * n - 1), n)

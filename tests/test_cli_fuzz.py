@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from qslkit import expm, jsonio
 from qslkit.cli import main
 
+from test_constraints import decimal_mean
+
 
 def state(n):
     return {"dim": n, "re": [1] + [0] * (n - 1), "im": [0] * n}
@@ -138,12 +140,12 @@ def schatten(p):
     return {"kind": "schatten", "params": {"p": p}}
 
 
-# exponents whose scalar powers overflow a float
-OVERFLOWS = [(mean("powmean", 1e308), ["time", "invariance", "geodesic", "conjmin"]),
-             (mean("powmean", 1e-300), ["time", "invariance", "geodesic", "conjmin"]),
-             (mean("geomean", 1e308), ["time", "invariance", "geodesic", "conjmin"]),
+# exponents at which F, or F**2 in the geodesic check, overflows a float
+OVERFLOWS = [(mean("powmean", 1e-300), ["time", "invariance", "geodesic", "conjmin"]),
              (moment(1e-300), ["time", "geodesic"]),
              (mean("powmean", 0.001), ["geodesic"])]
+# means whose children's powers overflow a float, though the mean does not
+FAR_MEANS = [mean("powmean", 1e308), mean("geomean", 1e308)]
 
 
 def randers(entry, value):
@@ -160,8 +162,8 @@ def randers(entry, value):
 @example(OVERFLOWS[0][0])
 @example(OVERFLOWS[1][0])
 @example(OVERFLOWS[2][0])
-@example(OVERFLOWS[3][0])
-@example(OVERFLOWS[4][0])
+@example(FAR_MEANS[0])
+@example(FAR_MEANS[1])
 @example(schatten(2000))
 @example(schatten(5000))
 @example(moment(2000))
@@ -177,6 +179,31 @@ def test_overflowing_exponents_exit_4_naming_the_exponent(spec, command):
     code, _, err = run(argv + ["--constraint", json.dumps(spec)])
     assert code == 4
     assert err.startswith("error: ") and "exponent" in err and "overflows" in err
+
+
+def assert_time_is_the_mean(time_argv, spec):
+    """``time`` on the mean ``spec`` exits 0 with the mean of its children's
+    own times, to 1e-15 relative, as ``decimal_mean`` takes it; every
+    tree here is invariant, so each takes the principal logarithm."""
+    times = []
+    for tree in [spec] + spec["children"]:
+        code, out, err = run(time_argv(tree))
+        assert (code, err) == (0, ""), (tree, err)
+        times.append(json.loads(out)["time"])
+    want = decimal_mean(spec["kind"], spec["params"]["p"], *times[1:])
+    assert abs(times[0] - want) <= 1e-15 * want, (times[0], want)
+
+
+# each exited 4 naming the exponent
+@pytest.mark.parametrize("spec,command", [(spec, command) for spec in FAR_MEANS
+                                          for command in ["time", "invariance", "geodesic", "conjmin"]])
+def test_means_whose_powers_overflow_answer(spec, command):
+    argv = next(c for c in COMMANDS if c[0] == command)
+    code, out, err = run(argv + ["--constraint", json.dumps(spec)])
+    assert_clean(code, out, err, command)
+    assert code == 0
+    if command == "time":
+        assert_time_is_the_mean(lambda tree: argv + ["--constraint", json.dumps(tree)], spec)
 
 
 def gate_argv(tmp_path, command, angles, spec):
@@ -195,25 +222,26 @@ OVER = "overflows a float"
 UNDER = "underflows a float to 0 from a nonzero value"
 
 
-LOSES = "loses sqrt(F1 * F2) to float rounding"
-
-
-# a mean whose scalar powers underflow to 0 or round to 1: each printed
-# T = 0, T = 1 or a passing geodesic report with exit 0
-@pytest.mark.parametrize("command,angles,spec,message", [
-    ("time", [0.2, -0.2], mean("powmean", 2000, SCHATTEN_INF), f"powmean exponent p = 2000.0 {UNDER}"),
-    ("time", [0.2, -0.2], mean("geomean", 2000, SCHATTEN_INF), f"geomean exponent p = 2000.0 {LOSES}"),
-    ("time", None, mean("geomean", 1e-300), f"geomean exponent p = 1e-300 {LOSES}"),
-    ("time", None, mean("geomean", 1e-20), f"geomean exponent p = 1e-20 {LOSES}"),
-    ("geodesic", None, mean("geomean", 1e-300), f"geomean exponent p = 1e-300 {LOSES}"),
+# a mean whose powers of a child underflow to 0 or round to 1: each exited 4
+# naming p, and printed T = 0, T = 1 or a passing geodesic report before that
+@pytest.mark.parametrize("command,angles,spec", [
+    ("time", [0.2, -0.2], mean("powmean", 2000, SCHATTEN_INF)),
+    ("time", [0.2, -0.2], mean("geomean", 2000, SCHATTEN_INF)),
+    ("time", None, mean("geomean", 1e-300)),
+    ("time", None, mean("geomean", 1e-20)),
+    ("geodesic", None, mean("geomean", 1e-300)),
 ])
-def test_means_that_lose_p_exit_4_naming_p(tmp_path, command, angles, spec, message):
-    assert run(gate_argv(tmp_path, command, angles, spec)) == (4, "", f"error: {message}\n")
+def test_means_whose_powers_lose_p_answer(tmp_path, command, angles, spec):
+    code, out, err = run(gate_argv(tmp_path, command, angles, spec))
+    assert_clean(code, out, err, command)
+    assert code == 0
+    if command == "time":
+        assert_time_is_the_mean(lambda tree: gate_argv(tmp_path, "time", angles, tree), spec)
 
 
 def test_means_that_keep_p_keep_their_value(tmp_path):
-    # the means still compute (F1**p + F2**p)**(1/p) and (F1**p * F2**p)**(1/(2p)),
-    # to the bit
+    # the closed forms keep the bits the definitions (F1**p + F2**p)**(1/p)
+    # and (F1**p * F2**p)**(1/(2p)) gave in scalar powers
     for spec, angles, want in ((mean("powmean", 2, SCHATTEN_INF), [0.2, -0.2], 0.34641016151377552),
                                (mean("geomean", 1), None, 3.9988231681122488)):
         code, out, err = run(gate_argv(tmp_path, "time", angles, spec))
@@ -240,15 +268,16 @@ RANDERS_Z = {"kind": "randers", "params": {"metric": metric(3), "oneform": {
 MT_MIXED = {"kind": "mt", "params": {"psi": {"dim": 2, "re": [0.6, 0.8], "im": [0, 0]}}}
 
 
-# a quadratic form or variance out of float range, on H = scale * diag(1, -1):
-# Randers printed an action of inf at 1e160 and a negative one at 1e-170, mt
-# inf and 0
+# a quadratic form, variance or sum out of float range, on H = scale *
+# diag(1, -1): Randers printed an action of inf at 1e160 and a negative one at
+# 1e-170, mt inf and 0, the sum inf
 @pytest.mark.parametrize("spec,scale,message", [
     (RANDERS_Z, 1e160, f"randers quadratic form {OVER}"),
     (RANDERS_Z, 1e-170, f"randers quadratic form {UNDER}"),
     (MT_MIXED, 1e160, f"mt variance {OVER}"),
     (MT_MIXED, 1e-170, f"mt variance {UNDER}"),
-], ids=["randers-1e160", "randers-1e-170", "mt-1e160", "mt-1e-170"])
+    ({"kind": "sum", "children": [SCHATTEN_INF, SCHATTEN_INF]}, 1e308, f"sum {OVER}"),
+], ids=["randers-1e160", "randers-1e-170", "mt-1e160", "mt-1e-170", "sum-1e308"])
 def test_forms_out_of_float_range_exit_4_naming_the_class(tmp_path, spec, scale, message):
     h = np.diag([scale, -scale]).astype(complex)
     (tmp_path / "traj.json").write_text(jsonio.dumps_canonical({"duration": 1.0, "samples": [

@@ -1,6 +1,8 @@
 """Resource functional catalog: values, homogeneity, and combinator algebra."""
 
+import decimal
 import math
+import re
 import warnings
 
 import numpy as np
@@ -157,6 +159,21 @@ def test_homogeneity_negative_control():
 # ---------------------------------------------------------------------------
 # combinator identities and inequalities
 # ---------------------------------------------------------------------------
+
+def decimal_mean(kind, p, f1, f2) -> float:
+    """The ``kind`` mean of two positive floats from its definition, in
+    80-digit decimal: (F1**p + F2**p)**(1/p) or (F1**p * F2**p)**(1/(2p)),
+    each power taken as exp(p ln F) and a sum of two as the larger times
+    1 + exp(the difference), so no power leaves decimal's range at p = 1e308
+    or rounds to 1 at p = 1e-300."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        p, l1, l2 = decimal.Decimal(p), decimal.Decimal(f1).ln(), decimal.Decimal(f2).ln()
+        if kind == "geomean":
+            return float(((p * l1 + p * l2) / (2 * p)).exp())
+        big, small = max(p * l1, p * l2), min(p * l1, p * l2)
+        return float(((big + (1 + (small - big).exp()).ln()) / p).exp())
+
 
 def test_geomean_of_equal_children_is_identity():
     rng = np.random.default_rng(2)
@@ -349,8 +366,11 @@ def test_state_validation_rejects_non_finite(psi):
 
 @pytest.mark.parametrize("args", [(2, -1), (2, 2), (0,), (1, 1)])
 def test_basis_state_refuses_an_index_out_of_range(args):
-    # (2, -1) once gave |1> by negative indexing; the others an IndexError
-    with pytest.raises(InvalidParameterError, match="basis state needs 0 <= k < n"):
+    # (2, -1) once gave |1> by negative indexing; the others an IndexError.
+    # n and k are counts, so n = 0 and k = -1 take the count rule's text
+    message = {(2, -1): "k must be >= 0, got -1", (0,): "n must be >= 1, got 0"}.get(
+        args, "basis state needs 0 <= k < n")
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
         basis_state(*args)
     assert basis_state(1).tolist() == [1.0] and basis_state(3, 2).tolist() == [0.0, 0.0, 1.0]
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from qslkit import (
     DegenerateBranchTieError,
     DimensionMismatchError,
+    GroundShiftedMoment,
     InvalidParameterError,
     InvariantViolationError,
     NotNormalError,
     Schatten,
     basis_coords,
+    basis_state,
     check_ad_invariance,
     check_homogeneity,
     commutator,
@@ -32,9 +34,10 @@ from qslkit import (
     random_algebra_element,
     require_algebra_element,
     require_special_unitary,
+    sample_generic_probe,
     su_basis,
 )
-from qslkit.gates import orthogonalizer, qft
+from qslkit.gates import identity, orthogonalizer, qft
 from qslkit.linalg import MAX_BRANCH_ROWS, _eigen_clusters
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -551,6 +554,43 @@ def test_counts_are_integers_at_or_above_their_least(entry):
                        match=f"^{name} must be an integer >= {low}, got {low + 0.5}$"):
         call(u, low + 0.5)
     call(u, np.int64(low))
+
+
+# (its dimension or index parameter, the least value) for each entry point
+# that takes one
+DIMENSION_ENTRIES = {
+    "su_basis": ("n", 2, su_basis),
+    "haar_su": ("n", 2, lambda v: haar_su(v, 0)),
+    "random_algebra_element": ("n", 2, lambda v: random_algebra_element(v, 0)),
+    "identity": ("n", 1, identity),
+    "orthogonalizer": ("n", 2, lambda v: orthogonalizer(math.pi, v)),
+    "qft": ("n", 2, qft),
+    "basis_state": ("n", 1, basis_state),
+    "basis_state-k": ("k", 0, lambda v: basis_state(3, v)),
+    "check_ad_invariance": ("n", 2, lambda v: check_ad_invariance(Schatten(p=2), v, samples=2)),
+    "check_homogeneity": ("n", 2, lambda v: check_homogeneity(Schatten(p=2), v, trials=2)),
+    "sample_generic_probe": ("n", 2, lambda v: sample_generic_probe(Schatten(p=2), v, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", DIMENSION_ENTRIES)
+def test_dimensions_are_integers_at_or_above_their_least(entry):
+    # the count rule again: qft(2.5) gave a 3 x 3 matrix that is not unitary,
+    # the checks at n = 0 a ZeroDivisionError or a numpy ValueError, and
+    # the others a TypeError or an IndexError
+    name, low, call = DIMENSION_ENTRIES[entry]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+        call(low - 1)
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} must be an integer >= {low}, got {low + 0.5}$"):
+        call(low + 0.5)
+    call(np.int64(low))
+
+
+def test_homogeneity_refuses_a_constraint_of_another_dimension():
+    # a numpy ValueError from the moment's matrix product before
+    with pytest.raises(DimensionMismatchError, match="expects dimension 3, got dimension 4"):
+        check_homogeneity(GroundShiftedMoment(p=1, psi=basis_state(3)), 4)
 
 
 def test_haar_invariants():

@@ -48,7 +48,7 @@ from qslkit import (
 from qslkit import constraints, gates, linalg
 from qslkit.geometry import FD_STEP, GEODESIC_THRESHOLD, NORM_SLACK
 
-from test_constraints import SpectrumNorm, catalog
+from test_constraints import SpectrumNorm, catalog, decimal_mean
 
 
 class LopsidedNorm(constraints.Constraint):
@@ -421,18 +421,39 @@ def test_one_spectrum_gives_the_per_child_bits(n):
         assert values_outcome(func.values, stack) == values_outcome(per_child, func, stack), func
 
 
-@pytest.mark.parametrize("func,message", [
-    (Schatten(p=2000), "schatten exponent p = 2000 overflows a float"),
-    (PowerMean(p=2000, children=(Schatten(p=2), Schatten(p=math.inf))),
-     "powmean exponent p = 2000 overflows a float"),
-    (GeometricMean(p=1e-300, children=(Schatten(p=2), SpectralRange())),
-     "geomean exponent p = 1e-300 loses sqrt(F1 * F2) to float rounding"),
-], ids=["schatten", "powmean", "geomean"])
-def test_one_spectrum_keeps_the_overflow_and_loss_texts(func, message):
-    x = principal_log(gates.parse_gate_spec("qft:3")).value
+def qft3_log():
+    return principal_log(gates.parse_gate_spec("qft:3")).value
+
+
+@pytest.mark.parametrize("func,x,message", [
+    (Schatten(p=2000), None, "schatten exponent p = 2000 overflows a float"),
+    (PowerMean(p=1e-300, children=(Schatten(p=2), SpectralRange())), None,
+     "powmean exponent p = 1e-300 overflows a float"),
+    (Sum(children=(Schatten(p=math.inf), Schatten(p=math.inf))), np.diag([1e308j, -1e308j]),
+     "sum overflows a float"),
+], ids=["schatten", "powmean", "sum"])
+def test_one_spectrum_keeps_the_overflow_texts(func, x, message):
+    # at x = qft:3's logarithm unless given; the sum printed an action of inf
+    x = qft3_log() if x is None else x
     for stack in (x[None], np.stack([0.5 * x, x])):
         assert values_outcome(func.values, stack) == (InvalidParameterError, message)
         assert values_outcome(per_child, func, stack) == (InvalidParameterError, message)
+
+
+@pytest.mark.parametrize("func", [
+    PowerMean(p=2000, children=(Schatten(p=2), Schatten(p=math.inf))),
+    GeometricMean(p=1e-300, children=(Schatten(p=2), SpectralRange())),
+], ids=["powmean", "geomean"])
+def test_one_spectrum_gives_a_mean_whose_powers_leave_the_float_range(func):
+    # F**p overflows at p = 2000 and rounds to 1 at p = 1e-300, where each
+    # raised InvalidParameterError
+    x = qft3_log()
+    for stack in (x[None], np.stack([0.5 * x, x])):
+        got = func.values(stack)
+        assert np.array_equal(per_child(func, stack), got)
+        for f, f1, f2 in zip(got, *(c.values(stack) for c in func.children)):
+            want = decimal_mean(func.kind, func.p, f1, f2)
+            assert abs(f - want) <= 1e-15 * want, (f, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
