@@ -140,12 +140,23 @@ def schatten(p):
     return {"kind": "schatten", "params": {"p": p}}
 
 
-# exponents at which F, or F**2 in the geodesic check, overflows a float
-OVERFLOWS = [(mean("powmean", 1e-300), ["time", "invariance", "geodesic", "conjmin"]),
-             (moment(1e-300), ["time", "geodesic"]),
-             (mean("powmean", 0.001), ["geodesic"])]
-# means whose children's powers overflow a float, though the mean does not
-FAR_MEANS = [mean("powmean", 1e308), mean("geomean", 1e308)]
+# exponents whose scalar powers leave the float range, the commands each is
+# run under, and whether those answer: the p = 1e308 means, whose children's
+# powers overflow though the mean does not, answer; at the others F, or F**2
+# in the geodesic check, overflows and the command exits 4 naming the exponent
+EXPONENTS = [(mean("powmean", 1e308), ["time", "invariance", "geodesic", "conjmin"], True),
+             (mean("powmean", 1e-300), ["time", "invariance", "geodesic", "conjmin"], False),
+             (mean("geomean", 1e308), ["time", "invariance", "geodesic", "conjmin"], True),
+             (moment(1e-300), ["time", "geodesic"], False),
+             (mean("powmean", 0.001), ["geodesic"], False)]
+
+
+def exponent_cases(answers):
+    """The (spec, command) pairs of ``EXPONENTS`` that answer, or exit 4, each
+    with the id ``spec{i}-{command}``, ``i`` its place among all the pairs."""
+    pairs = [(spec, command, a) for spec, commands, a in EXPONENTS for command in commands]
+    return [pytest.param(spec, command, id=f"spec{i}-{command}")
+            for i, (spec, command, a) in enumerate(pairs) if a == answers]
 
 
 def randers(entry, value):
@@ -159,11 +170,11 @@ def randers(entry, value):
 @given(mutated_specs())
 @example(randers((1, 4), "nan"))
 @example(randers((0, 0), "inf"))
-@example(OVERFLOWS[0][0])
-@example(OVERFLOWS[1][0])
-@example(OVERFLOWS[2][0])
-@example(FAR_MEANS[0])
-@example(FAR_MEANS[1])
+@example(EXPONENTS[0][0])
+@example(EXPONENTS[1][0])
+@example(EXPONENTS[2][0])
+@example(EXPONENTS[3][0])
+@example(EXPONENTS[4][0])
 @example(schatten(2000))
 @example(schatten(5000))
 @example(moment(2000))
@@ -172,8 +183,7 @@ def test_mutated_specs_exit_0_2_or_4_without_a_traceback(spec):
         assert_clean(*run(command + ["--constraint", json.dumps(spec)]), (command, spec))
 
 
-@pytest.mark.parametrize("spec,command", [(spec, command) for spec, commands in OVERFLOWS
-                                          for command in commands])
+@pytest.mark.parametrize("spec,command", exponent_cases(answers=False))
 def test_overflowing_exponents_exit_4_naming_the_exponent(spec, command):
     argv = next(c for c in COMMANDS if c[0] == command)
     code, _, err = run(argv + ["--constraint", json.dumps(spec)])
@@ -195,8 +205,7 @@ def assert_time_is_the_mean(time_argv, spec):
 
 
 # each exited 4 naming the exponent
-@pytest.mark.parametrize("spec,command", [(spec, command) for spec in FAR_MEANS
-                                          for command in ["time", "invariance", "geodesic", "conjmin"]])
+@pytest.mark.parametrize("spec,command", exponent_cases(answers=True))
 def test_means_whose_powers_overflow_answer(spec, command):
     argv = next(c for c in COMMANDS if c[0] == command)
     code, out, err = run(argv + ["--constraint", json.dumps(spec)])
